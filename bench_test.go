@@ -416,7 +416,7 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 // cost.
 func BenchmarkWirePPS(b *testing.B) {
 	w := simnet.TestWorld(61)
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func BenchmarkWirePPS(b *testing.B) {
 // what the coordination costs.
 func BenchmarkCampaignCoordinated(b *testing.B) {
 	w := simnet.TestWorld(62)
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		b.Fatal(err)
 	}

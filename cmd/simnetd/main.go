@@ -87,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("resolving %q: %v", o.listen, err)
 	}
-	conn, err := net.ListenUDP("udp", addr)
+	conn, err := simnet.ListenUDP(addr)
 	if err != nil {
 		log.Fatalf("listening: %v", err)
 	}

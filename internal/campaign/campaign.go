@@ -1,10 +1,8 @@
 package campaign
 
 import (
-	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"followscent/internal/zmap"
 )
@@ -67,115 +65,4 @@ func (g *Merger) Dupes() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.dupes
-}
-
-// Node is one campaign participant: it leases shards from the shared
-// Manager, scans each with its own transports, and merges results. All
-// nodes must agree on Source, Config (seed above all) and the manager's
-// shard count — the same contract as running zmap shards by hand.
-type Node struct {
-	Name    string
-	Manager *Manager
-	// Source is the shared target source; Config.Shard/Shards are
-	// overwritten per lease, everything else applies as-is.
-	Source zmap.TargetSource
-	Config zmap.Config
-	// NewTransport builds this node's per-worker transports, called
-	// once per worker per leased shard.
-	NewTransport zmap.TransportFactory
-	Merge        *Merger
-	// Poll is how long to wait before re-asking for a shard when none
-	// is free (some other node holds the remainder); default TTL/4.
-	Poll time.Duration
-}
-
-// Run leases and scans shards until the campaign is done or ctx is
-// cancelled. A lease lost mid-scan (expired and re-issued) cancels that
-// shard's scan and moves on — the new holder covers it; any other scan
-// error is returned, leaving the node's current lease to lapse and be
-// re-issued to a survivor.
-func (n *Node) Run(ctx context.Context) error {
-	poll := n.Poll
-	if poll <= 0 {
-		poll = n.Manager.TTL() / 4
-	}
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lease, ok := n.Manager.Grant(n.Name)
-		if !ok {
-			if n.Manager.Done() {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(poll):
-			}
-			continue
-		}
-		if err := n.runLease(ctx, lease); err != nil {
-			return err
-		}
-	}
-}
-
-// runLease scans one leased shard, renewing the lease at TTL/3 while
-// the scan runs.
-func (n *Node) runLease(ctx context.Context, l Lease) error {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	lost := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(n.Manager.TTL() / 3)
-		defer tick.Stop()
-		cur := l
-		for {
-			select {
-			case <-sctx.Done():
-				return
-			case <-tick.C:
-				nl, ok := n.Manager.Renew(cur)
-				if !ok {
-					// Fenced out: the shard now belongs to someone
-					// else. Stop scanning it immediately.
-					close(lost)
-					cancel()
-					return
-				}
-				cur = nl
-			}
-		}
-	}()
-
-	cfg := n.Config
-	cfg.Shard, cfg.Shards = l.Shard, n.Manager.Shards()
-	_, err := zmap.ScanSource(sctx, n.NewTransport, n.Source, cfg, n.Merge.Add)
-	cancel()
-	wg.Wait()
-	if err != nil {
-		select {
-		case <-lost:
-			// The scan died because the lease did; its replacement
-			// holder re-covers the shard, so this is not a node error.
-			return nil
-		default:
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	// Complete can fail if the lease expired in the instant after the
-	// last renewal; the shard is then re-scanned by its next holder and
-	// the merge dedupe absorbs the overlap.
-	n.Manager.Complete(l)
-	return nil
 }

@@ -1,15 +1,11 @@
 package campaign_test
 
 import (
-	"context"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"followscent/internal/campaign"
 	"followscent/internal/ip6"
-	"followscent/internal/simnet"
 	"followscent/internal/zmap"
 )
 
@@ -85,135 +81,5 @@ func TestMergerDedupes(t *testing.T) {
 	}
 	if g.Dupes() != 1 {
 		t.Fatalf("dupes = %d, want 1", g.Dupes())
-	}
-}
-
-// leaseWorld is a loss-free, rate-limit-free fixture (the adaptive
-// tests' pattern): every response is a pure function of the probe
-// bytes, so a merged multi-node campaign over UDP and a single-node
-// loopback scan must produce identical result sets.
-func leaseWorld(seed uint64) *simnet.World {
-	return simnet.MustBuild(simnet.WorldSpec{
-		Seed: seed,
-		Providers: []simnet.ProviderSpec{{
-			ASN: 65051, Name: "LeaseNet", Country: "DE",
-			Allocations:    []string{"2001:db8::/32"},
-			BorderRespProb: 0.3,
-			Pools: []simnet.PoolSpec{{
-				Prefix: "2001:db8:50::/48", AllocBits: 56,
-				Rotation:  simnet.RotationPolicy{Kind: simnet.RotateNone},
-				Occupancy: 0.5, EUIFrac: 1,
-			}},
-		}},
-	})
-}
-
-func leaseTargets(t *testing.T) zmap.TargetSet {
-	t.Helper()
-	ts, err := zmap.NewSubnetTargets([]ip6.Prefix{ip6.MustParsePrefix("2001:db8:50::/48")}, 56, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ts
-}
-
-// TestCampaignSurvivesNodeKill is the campaign-level resume invariant:
-// three nodes scan a simnetd world over UDP, one node's transport dies
-// mid-shard, its lease expires and is re-issued, and the merged result
-// set still equals a single-node loopback scan of the same world.
-func TestCampaignSurvivesNodeKill(t *testing.T) {
-	ts := leaseTargets(t)
-	cfg := zmap.Config{Source: vantage, Seed: 4242, Workers: 2}
-
-	// Reference: one uninterrupted scan against a fresh same-seed world.
-	ref := campaign.NewMerger()
-	refW := leaseWorld(9)
-	if _, err := zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) {
-		return zmap.NewLoopback(refW, 0), nil
-	}, ts, cfg, ref.Add); err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Results()) == 0 {
-		t.Fatal("reference scan found nothing")
-	}
-
-	// Campaign world, served over UDP like a real simnetd.
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sctx, scancel := context.WithCancel(context.Background())
-	var swg sync.WaitGroup
-	swg.Add(1)
-	go func() {
-		defer swg.Done()
-		leaseWorld(9).ServeUDP(sctx, conn, 0)
-	}()
-	defer func() {
-		scancel()
-		conn.Close()
-		swg.Wait()
-	}()
-	addr := conn.LocalAddr().String()
-
-	merge := campaign.NewMerger()
-	mgr := campaign.NewManager(8, 400*time.Millisecond, nil)
-	// Pace gently (loopback UDP drops on bursts) and leave time for
-	// responses before each shard's transports close.
-	ncfg := cfg
-	ncfg.Rate = 20000
-	ncfg.Cooldown = 250 * time.Millisecond
-	node := func(name string, factory zmap.TransportFactory) *campaign.Node {
-		return &campaign.Node{
-			Name: name, Manager: mgr,
-			Source: zmap.NewPermutedSource(ts), Config: ncfg,
-			NewTransport: factory, Merge: merge,
-			Poll: 50 * time.Millisecond,
-		}
-	}
-	dial := func(int) (zmap.Transport, error) { return zmap.DialUDP(addr) }
-	// Node n0's transports die after 5 sends: it fails mid-shard on its
-	// first lease, which must then expire and be re-issued.
-	dying := func(w int) (zmap.Transport, error) {
-		tr, err := zmap.DialUDP(addr)
-		if err != nil {
-			return nil, err
-		}
-		return zmap.NewFaultTransport(tr, zmap.FaultPlan{DieAfterSends: 5}, w), nil
-	}
-
-	nodes := []*campaign.Node{node("n0", dying), node("n1", dial), node("n2", dial)}
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *campaign.Node) {
-			defer wg.Done()
-			errs[i] = n.Run(context.Background())
-		}(i, n)
-	}
-	wg.Wait()
-
-	if errs[0] == nil {
-		t.Error("dying node reported no error")
-	}
-	if errs[1] != nil || errs[2] != nil {
-		t.Fatalf("surviving nodes errored: %v, %v", errs[1], errs[2])
-	}
-	if !mgr.Done() {
-		t.Fatal("campaign not done")
-	}
-	if mgr.Reissues() == 0 {
-		t.Fatal("dead node's lease was never re-issued")
-	}
-
-	got, want := merge.Results(), ref.Results()
-	if len(got) != len(want) {
-		t.Fatalf("merged %d results, reference has %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("result %d differs: %+v vs %+v", i, got[i], want[i])
-		}
 	}
 }

@@ -114,7 +114,7 @@ func dyingFactory(addr string) func(day, shard int) zmap.TransportFactory {
 func runCoordinated(t *testing.T, n int, mkWorker func(i int, worldAddr, coordAddr string) (*campaign.Worker, context.Context)) *coordRun {
 	t.Helper()
 	world := campWorld(9)
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // results with cross-shard deduplication. A node that dies mid-shard
 // simply stops renewing: its lease expires and the shard is re-issued to
 // a survivor, whose re-scan of the partially-covered shard is absorbed
-// by the merge dedupe (TestCampaignSurvivesNodeKill).
+// by the merge dedupe (TestCoordinatedCampaignNodeKill).
 package campaign
 
 import (

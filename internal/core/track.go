@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"followscent/internal/analysis"
@@ -54,7 +53,7 @@ type TrackDay struct {
 	Found      bool
 	Addr       ip6.Addr // the device's address when found
 	Moved      bool     // found in a different /64 than LastSeen
-	ProbesSent uint64   // probes until found (or total, if not found)
+	ProbesSent uint64   // 1 + the find's rank in the scan order (or every position, if not found)
 	ASN        uint32
 }
 
@@ -118,31 +117,26 @@ func (t *Tracker) Step(ctx context.Context, st *TrackState, day int, salt uint64
 	if err != nil {
 		return TrackDay{}, err
 	}
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var found atomic.Value // ip6.Addr
-	stats, err := t.Scanner.Scan(scanCtx, ts, salt, func(r zmap.Result) {
-		if IID(r.From.IID()) == st.IID {
-			found.CompareAndSwap(nil, r.From)
-			cancel() // stop probing: the device is located
-		}
+	// The scan ends at the find of lowest rank in the permutation, so the
+	// day's probe count is a function of (salt, pool, world) and not of
+	// how far the other workers had got when the device answered.
+	find, probes, _, err := t.Scanner.ScanUntil(ctx, ts, salt, func(r zmap.Result) bool {
+		return IID(r.From.IID()) == st.IID
 	})
-	td := TrackDay{Day: day, ProbesSent: stats.Sent, ASN: asn}
-	if v := found.Load(); v != nil {
-		addr := v.(ip6.Addr)
+	if err != nil {
+		return TrackDay{}, err
+	}
+	td := TrackDay{Day: day, ProbesSent: probes, ASN: asn}
+	if find != nil {
 		td.Found = true
-		td.Addr = addr
-		td.Moved = addr.Slash64() != st.LastSeen.Slash64()
-		st.LastSeen = addr
+		td.Addr = find.From
+		td.Moved = find.From.Slash64() != st.LastSeen.Slash64()
+		st.LastSeen = find.From
 		if st.misses > 0 && t.WidenBits > 0 {
 			// The widened search is what found it: remember the width.
 			st.learnedPoolBits = pool.Bits()
 		}
 		st.misses = 0
-	} else if err != nil && scanCtx.Err() == nil {
-		// A real scan failure, not our own early-stop cancellation.
-		return TrackDay{}, err
 	} else {
 		st.misses++
 	}

@@ -367,7 +367,7 @@ func TestMatrixLoopbackUDPEquivalence(t *testing.T) {
 	// copy of the world for ground truth; both clocks stay frozen at the
 	// epoch.
 	server := simnet.MustBuild(spec)
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,21 @@ import (
 	"followscent/internal/netbatch"
 )
 
+// ListenUDP opens the socket ServeUDP answers on, with the kernel
+// buffers bursty batched senders need (8 MiB each way, best-effort)
+// in place before it returns: the first flushes of a scan can arrive
+// before the serving goroutine has run, and would otherwise land on —
+// and overflow — the default buffer.
+func ListenUDP(addr *net.UDPAddr) (*net.UDPConn, error) {
+	conn, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	_ = conn.SetReadBuffer(8 << 20)
+	_ = conn.SetWriteBuffer(8 << 20)
+	return conn, nil
+}
+
 // ServeUDP answers ICMPv6-in-UDP probes on conn until ctx is cancelled:
 // each datagram is one raw IPv6+ICMPv6 packet, answered (or not) exactly
 // as the simulated Internet would. This is the backend for cmd/simnetd
@@ -56,7 +71,7 @@ func (w *World) ServeUDP(ctx context.Context, conn *net.UDPConn, timescale float
 		_ = conn.SetReadDeadline(time.Now())
 	}()
 
-	// Bursty batched senders need kernel-side headroom; best-effort.
+	// For a socket not opened by ListenUDP; best-effort.
 	_ = conn.SetReadBuffer(8 << 20)
 	_ = conn.SetWriteBuffer(8 << 20)
 	nb, err := netbatch.NewConn(conn)

@@ -102,7 +102,7 @@ func TestScanBatchUDPEquivalence(t *testing.T) {
 	}
 	run := func(workers, batch int) []string {
 		w := simnet.TestWorld(61)
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,14 +42,16 @@ type Config struct {
 	// a real network — the paper's randomized scan order exists to stay
 	// below those limits).
 	Workers int
-	// Batch selects vectored wire I/O: when > 1, each worker builds
+	// Batch is the width of asynchronous wire I/O: each worker builds
 	// probes into a preallocated ring and moves up to Batch packets per
 	// transport operation (one sendmmsg/recvmmsg syscall on the UDP
 	// transport; other transports run the same engine loops through a
 	// batch-over-single adapter). The probed target set, probe order
-	// per worker and validated results are byte-identical with and
-	// without batching — only the syscall count changes. 0 or 1 keeps
-	// the per-packet path.
+	// per worker and validated results are byte-identical at every
+	// width — only the syscall count changes. 0 or 1: batches of one,
+	// each a plain Send/Recv on the transport (and in-process
+	// Exchanger transports keep their synchronous fast path, which
+	// Batch > 1 overrides).
 	Batch int
 	// ConcurrentHandlers invokes the Handler concurrently from every
 	// worker instead of serializing calls through the merge mutex. The
@@ -94,8 +96,8 @@ func (c *Config) fill() {
 	if c.Module == nil {
 		c.Module = EchoModule{}
 	}
-	if c.Batch < 0 {
-		c.Batch = 0
+	if c.Batch < 1 {
+		c.Batch = 1
 	}
 	c.Workers = c.NumWorkers()
 }
@@ -150,8 +152,7 @@ func Scan(ctx context.Context, tr Transport, ts TargetSet, cfg Config, h Handler
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
-	shared := &sharedTransport{tr: tr}
-	return ScanWorkers(ctx, func(int) (Transport, error) { return shared.ref(), nil }, ts, cfg, h)
+	return scan(ctx, func(int) (Transport, error) { return tr, nil }, true, NewPermutedSource(ts), cfg, h, nil)
 }
 
 // ScanWorkers runs a multi-worker scan over an indexable TargetSet,
@@ -172,6 +173,13 @@ func ScanWorkers(ctx context.Context, factory TransportFactory, ts TargetSet, cf
 // up-front; unbounded sources run until their streams end or the
 // context is cancelled.
 func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource, cfg Config, h Handler) (Stats, error) {
+	return scan(ctx, factory, false, src, cfg, h, nil)
+}
+
+// scan is the one entry behind every exported scan. shared says the
+// factory hands each worker the caller's single transport, which is
+// then closed once; stop, when non-nil, arms ScanUntil's early stop.
+func scan(ctx context.Context, factory TransportFactory, shared bool, src TargetSource, cfg Config, h Handler, stop *earlyStop) (Stats, error) {
 	cfg.fill()
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return Stats{}, fmt.Errorf("zmap: shard %d of %d out of range", cfg.Shard, cfg.Shards)
@@ -191,7 +199,7 @@ func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel}
+	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel, stop: stop}
 	e.raw, _ = cfg.Module.(RawValidator)
 	switch p := cfg.Failure.(type) {
 	case nil, AbortAll:
@@ -241,46 +249,33 @@ func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource,
 	var sendWG, recvWG sync.WaitGroup
 	sendStart := time.Now()
 	for w, tr := range trs {
-		if cfg.Batch > 1 {
-			// Batched path: vectored send/receive through BatchTransport,
-			// with non-batch transports adapted so every Batch > 1 scan
-			// runs the same loops regardless of transport. This wins over
-			// the Exchanger fast path by construction — batch semantics
-			// are what the caller asked to exercise.
-			bt := NewBatchAdapter(tr)
+		// Two sinks for the one walk. A synchronous transport answers
+		// each probe inline — no receiver goroutine, queue or buffer
+		// recycling on the hot path. Everything else goes through the
+		// ring and a receiver: Batch > 1 wins over the Exchanger (batch
+		// semantics are what the caller asked to exercise) and uses the
+		// transport's own vectored calls; width 1 is always the loop
+		// adapter, so each probe stays one plain Send, each reply one Recv.
+		ex, _ := tr.(Exchanger)
+		var bt BatchTransport
+		switch {
+		case cfg.Batch > 1:
+			ex, bt = nil, NewBatchAdapter(tr)
+		case ex == nil:
+			bt = &batchAdapter{tr}
+		}
+		if bt != nil {
 			recvWG.Add(1)
-			go func(w int, bt BatchTransport) {
+			go func() {
 				defer recvWG.Done()
 				e.receiveBatch(w, bt)
-			}(w, bt)
-			sendWG.Add(1)
-			go func(w int, bt BatchTransport) {
-				defer sendWG.Done()
-				e.sendBatch(ctx, w, bt)
-			}(w, bt)
-			continue
+			}()
 		}
-		if ex, ok := tr.(Exchanger); ok {
-			// Synchronous transport: probe and response handled inline in
-			// the sender loop — no receiver goroutine, queue or buffer
-			// recycling on the hot path.
-			sendWG.Add(1)
-			go func(w int, ex Exchanger) {
-				defer sendWG.Done()
-				e.send(ctx, w, nil, ex)
-			}(w, ex)
-			continue
-		}
-		recvWG.Add(1)
-		go func(w int, tr Transport) {
-			defer recvWG.Done()
-			e.receive(w, tr)
-		}(w, tr)
 		sendWG.Add(1)
-		go func(w int, tr Transport) {
+		go func() {
 			defer sendWG.Done()
-			e.send(ctx, w, tr, nil)
-		}(w, tr)
+			e.send(ctx, w, bt, ex)
+		}()
 	}
 	sendWG.Wait()
 	sendTime := time.Since(sendStart)
@@ -290,6 +285,9 @@ func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource,
 		case <-time.After(cfg.Cooldown):
 		case <-ctx.Done():
 		}
+	}
+	if shared {
+		trs = trs[:1]
 	}
 	for _, tr := range trs {
 		if err := tr.Close(); err != nil {
@@ -332,6 +330,7 @@ type engine struct {
 	retry      *RetryBackoff // retry transient send errors; nil = no retries
 	quarantine bool          // record dead workers instead of aborting
 	prog       *Progress     // per-worker high-water marks; may be nil
+	stop       *earlyStop    // ScanUntil's lowest find; nil in every other scan
 
 	sent, received, matched, invalid atomic.Uint64
 
@@ -372,53 +371,31 @@ func (e *engine) quarantineWorker(w int, err error) {
 	e.errMu.Unlock()
 }
 
-// sendRetry transmits one probe, retrying transient errors with the
-// configured backoff. It returns nil on success, ctx.Err() when
-// cancelled mid-backoff, and the terminal error otherwise.
-func (e *engine) sendRetry(ctx context.Context, tr Transport, pkt []byte) error {
-	err := tr.Send(pkt)
-	if err == nil || e.retry == nil || !Transient(err) {
-		return err
-	}
-	// The backoff jitter is keyed by probe content, like the fault
-	// schedule itself: deterministic for a fixed scan, decorrelated
-	// across probes.
-	h := foldBytes(e.cfg.Seed, pkt)
-	for try := 1; try <= e.retry.Attempts; try++ {
-		t := time.NewTimer(e.retry.backoff(h, try))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-		if err = tr.Send(pkt); err == nil || !Transient(err) {
-			return err
-		}
-	}
-	return fmt.Errorf("zmap: %d retries exhausted: %w", e.retry.Attempts, err)
-}
-
-// send is worker w's probe loop: it walks the source's per-worker
-// stream (the source owns ordering and the two-level shard partition)
-// and paces. Exactly one of tr (asynchronous transport) and ex
-// (synchronous fast path) is non-nil. All probe knowledge lives in the
-// module's Prober: the engine only walks streams and moves bytes.
-func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
+// send is worker w's probe walk — the only one. It walks the source's
+// per-worker stream (the source owns ordering and the two-level shard
+// partition), paces, and hands each probe to one of two sinks: ex, a
+// synchronous transport answered inline, or bt through the worker's
+// ring, flushed when full and at pass end. Exactly one of the two is
+// non-nil. All probe knowledge lives in the module's Prober: the engine
+// only walks streams and moves bytes.
+func (e *engine) send(ctx context.Context, w int, bt BatchTransport, ex Exchanger) {
 	cfg := &e.cfg
 	// Each worker paces at Rate/Workers, expressed as a stretched
 	// interval so the aggregate rate honours the cap exactly even when
 	// Rate does not divide by Workers (or is smaller than Workers).
-	var pacer *pacer
+	pc := newPacer(0)
 	if cfg.Rate > 0 {
-		pacer = newPacerInterval(time.Second * time.Duration(cfg.Workers) / time.Duration(cfg.Rate))
-	} else {
-		pacer = newPacer(0)
+		pc = newPacerInterval(time.Second * time.Duration(cfg.Workers) / time.Duration(cfg.Rate))
 	}
 	prober := cfg.Module.NewProber(cfg, w)
 	respBuf := make([]byte, 0, 2048)
+	var ring *probeRing
+	if ex == nil {
+		ring = &probeRing{pkts: lanes(cfg.Batch, probeLaneSize)}
+	}
 	var pkt icmp6.Packet
 	done := ctx.Done()
+	stop := e.stop
 	// Resuming: rm is this worker's high-water mark from the previous
 	// run — attempt passes below rm.Attempt are fully covered, and the
 	// first rm.Done positions of pass rm.Attempt are skipped. The
@@ -428,10 +405,7 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 	if cfg.Resume != nil {
 		rm = cfg.Resume.Marks[w]
 	}
-	for attempt := 0; attempt < cfg.ProbesPerTarget; attempt++ {
-		if attempt < rm.Attempt {
-			continue
-		}
+	for attempt := rm.Attempt; attempt < cfg.ProbesPerTarget; attempt++ {
 		var skip uint64
 		if attempt == rm.Attempt {
 			skip = rm.Done
@@ -445,6 +419,8 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 		}
 		poll := 0
 		var consumed uint64
+		stopped := false
+	pass:
 		for {
 			target, pos, ok := st.Next()
 			if !ok {
@@ -454,102 +430,84 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 				// Cancellation is polled every 64 probes: cheap enough to
 				// never matter, frequent enough to stop promptly — the only
 				// stop an unbounded source gets besides stream exhaustion.
+				// Probes ringed but unsent are re-probed by a resume.
 				poll = 63
 				select {
 				case <-done:
-					closeStream(st)
-					e.setErr(ctx.Err())
-					return
+					err = ctx.Err()
+					break pass
 				default:
 				}
 			}
 			if consumed++; consumed <= skip {
 				continue
 			}
-			sendBuf := prober.MakeProbe(target, pos, attempt)
-			if ex != nil {
-				resp, ok := ex.Exchange(sendBuf, respBuf[:0])
-				e.sent.Add(1)
-				if ok {
-					respBuf = resp
-					e.received.Add(1)
-					e.deliver(w, &pkt, resp)
+			ord := noOrdinal
+			if stop != nil {
+				// Ranks only grow along a walk, so the first one above the
+				// lowest find ends it: what was sent below the find is then
+				// exactly a prefix of the sequential order.
+				if ord = (consumed-1)*uint64(cfg.Workers) + uint64(w); ord > stop.ord.Load() {
+					consumed-- // refused, so no progress mark may claim it
+					stopped = true
+					break
 				}
-			} else {
-				if err := e.sendRetry(ctx, tr, sendBuf); err != nil {
-					closeStream(st)
-					switch {
-					case err == ctx.Err():
-						e.setErr(err)
-					case e.quarantine:
-						e.quarantineWorker(w, err)
-					default:
-						e.fail(err)
-					}
-					return
-				}
-				e.sent.Add(1)
 			}
-			// The mark is stored only after the probe reached the
-			// transport, so a checkpoint never claims unsent work — the
-			// resumed scan re-probes anything in doubt rather than
-			// skipping it.
+			probe := prober.MakeProbe(target, pos, attempt)
+			if ex == nil {
+				ring.push(probe)
+				if ring.full() {
+					if err = e.flush(ctx, w, bt, ring, pc, attempt, consumed); err != nil {
+						break pass
+					}
+				}
+				continue
+			}
+			resp, ok := ex.Exchange(probe, respBuf[:0])
+			e.sent.Add(1)
+			if ok {
+				respBuf = resp
+				e.received.Add(1)
+				e.deliver(w, &pkt, resp, ord)
+			}
+			// Marked only now that the probe reached the transport: a
+			// checkpoint never claims unsent work (see flush).
 			if e.prog != nil {
 				e.prog.mark(w, attempt, consumed)
 			}
-			pacer.wait()
+			pc.wait()
+		}
+		if err == nil && ring != nil {
+			err = e.flush(ctx, w, bt, ring, pc, attempt, consumed)
 		}
 		closeStream(st)
+		switch {
+		case err == nil:
+		case err == ctx.Err():
+			e.setErr(err)
+		case e.quarantine:
+			e.quarantineWorker(w, err)
+		default:
+			e.fail(err)
+		}
+		if err != nil || stopped {
+			return
+		}
 		if e.prog != nil {
 			e.prog.mark(w, attempt+1, 0)
 		}
 	}
 }
 
-// closeStream releases a stream's resources when its walk ends for any
-// reason — exhaustion, cancellation or transport failure. Generator-
-// backed streams rely on this to stop their feeding goroutines.
-func closeStream(st Stream) {
-	if c, ok := st.(io.Closer); ok {
-		c.Close()
-	}
-}
-
-// receive drains worker w's transport until it is closed, validating
-// each packet and handing results to the merge stage.
-func (e *engine) receive(w int, tr Transport) {
-	buf := make([]byte, 64<<10)
-	var pkt icmp6.Packet
-	for {
-		m, err := tr.Recv(buf)
-		if err != nil {
-			if Transient(err) {
-				// An injected stall/timeout: no packet was lost, keep
-				// draining regardless of policy.
-				continue
-			}
-			if err != io.EOF {
-				// Transport failure: surface through stats only; the
-				// sender side will also fail if it matters.
-				e.invalid.Add(1)
-			}
-			return
-		}
-		e.received.Add(1)
-		e.deliver(w, &pkt, buf[:m])
-	}
-}
-
 // probeRing is a worker-private set of reusable probe buffers. Probers
 // return slices aliasing their own template state, valid only until the
-// next MakeProbe call, so the batched sender copies each probe into its
-// ring lane; copying ~80 bytes is noise next to the syscall it saves.
-// Lanes never shrink and are reused across every flush, so a steady
-// send loop allocates nothing.
+// next MakeProbe call, so the walk copies each probe into its ring
+// lane; copying ~80 bytes is noise next to the syscall it saves. Lanes
+// never shrink and are reused across every flush, so a steady send
+// loop allocates nothing.
 type probeRing struct {
-	lanes [][]byte // preallocated backing, one lane per batch slot
-	pkts  [][]byte // pkts[:n] alias the filled lanes, fed to SendBatch
-	n     int
+	pkts [][]byte // one preallocated lane per batch slot; pkts[:n] are filled
+	n    int
 }
 
 // probeLaneSize fits every shipped module's probe (the largest, the MLD
@@ -557,185 +515,116 @@ type probeRing struct {
 // regrows its lane once.
 const probeLaneSize = 512
 
-func newProbeRing(batch int) *probeRing {
-	r := &probeRing{lanes: make([][]byte, batch), pkts: make([][]byte, batch)}
-	backing := make([]byte, batch*probeLaneSize)
-	for i := range r.lanes {
-		r.lanes[i] = backing[i*probeLaneSize : i*probeLaneSize : (i+1)*probeLaneSize]
-	}
-	return r
-}
-
 func (r *probeRing) push(pkt []byte) {
-	r.lanes[r.n] = append(r.lanes[r.n][:0], pkt...)
-	r.pkts[r.n] = r.lanes[r.n]
+	r.pkts[r.n] = append(r.pkts[r.n][:0], pkt...)
 	r.n++
 }
 
-func (r *probeRing) full() bool { return r.n == len(r.lanes) }
+func (r *probeRing) full() bool { return r.n == len(r.pkts) }
 
-// sendBatch is the batched counterpart of send: worker w walks its
-// streams exactly as the per-packet loop does — same pacing budget,
-// same resume skips, same cancellation poll — but probes accumulate in
-// the ring and leave in SendBatch flushes.
-func (e *engine) sendBatch(ctx context.Context, w int, bt BatchTransport) {
-	cfg := &e.cfg
-	var pc *pacer
-	if cfg.Rate > 0 {
-		pc = newPacerInterval(time.Second * time.Duration(cfg.Workers) / time.Duration(cfg.Rate))
-	} else {
-		pc = newPacer(0)
+// lanes carves n buffers of size bytes out of one allocation.
+func lanes(n, size int) [][]byte {
+	backing := make([]byte, n*size)
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = backing[i*size : (i+1)*size : (i+1)*size]
 	}
-	prober := cfg.Module.NewProber(cfg, w)
-	ring := newProbeRing(cfg.Batch)
-	var rm WorkerMark
-	if cfg.Resume != nil {
-		rm = cfg.Resume.Marks[w]
-	}
-	for attempt := 0; attempt < cfg.ProbesPerTarget; attempt++ {
-		if attempt < rm.Attempt {
-			continue
-		}
-		var skip uint64
-		if attempt == rm.Attempt {
-			skip = rm.Done
-		}
-		st, err := e.src.Stream(cfg, w)
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		err = e.sendBatchPass(ctx, w, bt, st, prober, ring, pc, attempt, skip)
-		closeStream(st)
-		if err != nil {
-			switch {
-			case err == ctx.Err():
-				e.setErr(err)
-			case e.quarantine:
-				e.quarantineWorker(w, err)
-			default:
-				e.fail(err)
-			}
-			return
-		}
-		if e.prog != nil {
-			e.prog.mark(w, attempt+1, 0)
-		}
-	}
+	return out
 }
 
-// sendBatchPass runs one attempt's stream through the ring. Progress
-// marks advance only at flush boundaries — every consumed position up
-// to a mark was either resume-skipped or handed to the transport, so a
-// checkpoint still never claims unsent work; probes ringed but unsent
-// at cancellation are simply re-probed by a resume.
-func (e *engine) sendBatchPass(ctx context.Context, w int, bt BatchTransport, st Stream, prober Prober, ring *probeRing, pc *pacer, attempt int, skip uint64) error {
-	poll := 0
-	var consumed uint64
-	done := ctx.Done()
-	flush := func() error {
-		n := ring.n
-		if n == 0 {
-			return nil
-		}
-		err := e.sendBatchRetry(ctx, bt, ring.pkts[:n])
-		ring.n = 0
-		if err != nil {
-			return err
-		}
-		e.sent.Add(uint64(n))
-		if e.prog != nil {
-			e.prog.mark(w, attempt, consumed)
-		}
-		pc.waitN(n)
+// flush sends the ring. Every packet the transport accepted counts as
+// sent, also on the error paths; the progress mark advances only when
+// the whole ring went out — every consumed position up to a mark was
+// either resume-skipped or handed to the transport, so a checkpoint
+// never claims unsent work, and a batch that died part-way is re-probed
+// whole by a resume.
+func (e *engine) flush(ctx context.Context, w int, bt BatchTransport, ring *probeRing, pc *pacer, attempt int, consumed uint64) error {
+	n := ring.n
+	if n == 0 {
 		return nil
 	}
-	for {
-		target, pos, ok := st.Next()
-		if !ok {
-			break
-		}
-		if poll--; poll < 0 {
-			poll = 63
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		if consumed++; consumed <= skip {
-			continue
-		}
-		ring.push(prober.MakeProbe(target, pos, attempt))
-		if ring.full() {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// sendBatchRetry is sendRetry for a batch: partial progress is kept (a
-// transport reports how many packets went out before the error) and the
-// retry budget covers the batch's remainder as a whole.
-func (e *engine) sendBatchRetry(ctx context.Context, bt BatchTransport, pkts [][]byte) error {
-	n, err := bt.SendBatch(pkts)
-	if err == nil || n >= len(pkts) {
-		return nil
-	}
-	if e.retry == nil || !Transient(err) {
+	ring.n = 0
+	sent, err := e.sendBatchRetry(ctx, bt, ring.pkts[:n])
+	e.sent.Add(uint64(sent))
+	if err != nil {
 		return err
 	}
-	// Jitter keyed by the first unsent probe's content, matching the
-	// per-packet path's probe-content keying.
-	h := foldBytes(e.cfg.Seed, pkts[n])
+	if e.prog != nil {
+		e.prog.mark(w, attempt, consumed)
+	}
+	pc.waitN(n)
+	return nil
+}
+
+// sendBatchRetry transmits one ring's worth, retrying transient errors
+// with the configured backoff, and returns how many packets went out.
+// Partial progress is kept (a transport reports how many packets it
+// accepted before the error) and each failing probe gets the whole
+// retry budget, as if sent alone. The error is nil on success,
+// ctx.Err() when cancelled mid-backoff, and the terminal error
+// otherwise.
+func (e *engine) sendBatchRetry(ctx context.Context, bt BatchTransport, pkts [][]byte) (int, error) {
+	n, err := bt.SendBatch(pkts)
+	if err == nil || n >= len(pkts) {
+		return len(pkts), nil
+	}
+	if e.retry == nil || !Transient(err) {
+		return n, err
+	}
 	for try := 1; try <= e.retry.Attempts; try++ {
-		t := time.NewTimer(e.retry.backoff(h, try))
+		// The backoff jitter is keyed by the failing probe's content,
+		// like the fault schedule itself: deterministic for a fixed scan,
+		// decorrelated across probes.
+		t := time.NewTimer(e.retry.backoff(foldBytes(e.cfg.Seed, pkts[n]), try))
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return ctx.Err()
+			return n, ctx.Err()
 		case <-t.C:
 		}
 		var m int
 		m, err = bt.SendBatch(pkts[n:])
 		if n += m; err == nil || n >= len(pkts) {
-			return nil
+			return len(pkts), nil
 		}
 		if !Transient(err) {
-			return err
+			return n, err
+		}
+		if m > 0 {
+			try = 0 // a later probe is failing now, for its first time
 		}
 	}
-	return fmt.Errorf("zmap: %d retries exhausted: %w", e.retry.Attempts, err)
+	return n, fmt.Errorf("zmap: %d retries exhausted: %w", e.retry.Attempts, err)
 }
 
 // receiveBatch drains worker w's transport in RecvBatch strides until
-// it is closed, delivering each packet exactly as receive does.
+// it is closed, validating each packet and handing results to the merge
+// stage.
 func (e *engine) receiveBatch(w int, bt BatchTransport) {
 	batch := e.cfg.Batch
 	// Simulated responses are bounded well under 2 KiB (the ICMPv6
-	// error path quotes at most 1224 bytes), so flat per-lane buffers
-	// replace the per-packet loop's single 64 KiB scratch.
-	const laneSize = 2048
-	backing := make([]byte, batch*laneSize)
-	bufs := make([][]byte, batch)
-	for i := range bufs {
-		bufs[i] = backing[i*laneSize : (i+1)*laneSize]
+	// error path quotes at most 1224 bytes), so a stride's lanes are
+	// flat 2 KiB buffers; width 1 is a plain Recv and keeps the 64 KiB
+	// ceiling of a datagram.
+	laneSize := 2048
+	if batch == 1 {
+		laneSize = 64 << 10
 	}
-	sizes := make([]int, batch)
+	bufs, sizes := lanes(batch, laneSize), make([]int, batch)
 	var pkt icmp6.Packet
 	for {
 		n, err := bt.RecvBatch(bufs, sizes)
 		for i := 0; i < n; i++ {
 			e.received.Add(1)
-			e.deliver(w, &pkt, bufs[i][:sizes[i]])
+			e.deliver(w, &pkt, bufs[i][:sizes[i]], noOrdinal)
 		}
 		if err != nil {
 			if Transient(err) {
-				continue
+				continue // a stall or timeout: no packet was lost, keep draining
 			}
 			if err != io.EOF {
+				// Transport failure: surface through stats only; the
+				// sender side will also fail if it matters.
 				e.invalid.Add(1)
 			}
 			return
@@ -747,8 +636,9 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 // verification — most probe types' responses arrive as ICMPv6) and
 // hands it to the module for validation before invoking the handler.
 // Packets carrying another upper-layer protocol (a TCP RST/ACK) go to
-// the module's optional RawValidator instead.
-func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte) {
+// the module's optional RawValidator instead. ord is the eliciting
+// probe's rank where the caller holds it (see earlyStop).
+func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte, ord uint64) {
 	var res Result
 	ok := false
 	if err := pkt.Unmarshal(b); err == nil {
@@ -761,65 +651,52 @@ func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte) {
 		return
 	}
 	e.matched.Add(1)
-	if e.handler != nil {
+	if e.stop != nil {
+		e.offer(res, ord)
+	} else if e.handler != nil {
 		res.Worker = w
 		e.handler(res)
 	}
 }
 
-// sharedTransport adapts one caller-owned transport to the per-worker
-// factory shape: every worker gets a handle on the same transport, and
-// the underlying Close runs once, after the last handle closes.
-type sharedTransport struct {
-	tr   Transport
-	refs atomic.Int32
+// noOrdinal is "no find yet" in earlyStop.ord, and "rank unknown" from
+// the asynchronous receivers, which see replies and not the walk.
+const noOrdinal = ^uint64(0)
+
+// earlyStop is the state of a ScanUntil scan: the lowest-ranked result
+// match accepted so far. A probe's rank is its position in the scan's
+// sequential order — the one-worker walk of this instance's shard — so
+// worker w's consumed-th position has rank (consumed-1)*Workers + w,
+// whatever the worker count.
+type earlyStop struct {
+	match func(Result) bool
+	// ord is the rank of res, noOrdinal before the first find. Every
+	// walk loads it before each probe; offer alone lowers it, under mu.
+	ord atomic.Uint64
+	mu  sync.Mutex
+	res Result
 }
 
-func (s *sharedTransport) ref() Transport {
-	s.refs.Add(1)
-	// Only advertise the fast paths the underlying transport actually
-	// has. When both exist the Exchanger wins: per-packet scans take
-	// the synchronous path, and a Batch > 1 scan wraps the ref in the
-	// loop adapter regardless.
-	if ex, ok := s.tr.(Exchanger); ok {
-		return &sharedExchRef{sharedRef{s}, ex}
+// offer records res as the find if it matches and ranks below the
+// current one. With several matches the lowest rank wins whichever
+// arrives first, so the outcome does not depend on scheduling.
+func (e *engine) offer(res Result, ord uint64) {
+	s := e.stop
+	if !s.match(res) {
+		return
 	}
-	if bt, ok := s.tr.(BatchTransport); ok {
-		return &sharedBatchRef{sharedRef{s}, bt}
+	if ord == noOrdinal {
+		var ok bool
+		if ord, ok = sequentialRank(e.src, e.cfg, res.Target); !ok {
+			return // validated, yet not a target of this scan's shard
+		}
 	}
-	return &sharedRef{s}
-}
-
-type sharedRef struct{ s *sharedTransport }
-
-func (r *sharedRef) Send(pkt []byte) error        { return r.s.tr.Send(pkt) }
-func (r *sharedRef) Recv(buf []byte) (int, error) { return r.s.tr.Recv(buf) }
-
-func (r *sharedRef) Close() error {
-	if r.s.refs.Add(-1) == 0 {
-		return r.s.tr.Close()
+	s.mu.Lock()
+	if ord < s.ord.Load() {
+		s.res = res
+		s.ord.Store(ord)
 	}
-	return nil
-}
-
-type sharedExchRef struct {
-	sharedRef
-	ex Exchanger
-}
-
-func (r *sharedExchRef) Exchange(pkt, buf []byte) ([]byte, bool) {
-	return r.ex.Exchange(pkt, buf)
-}
-
-type sharedBatchRef struct {
-	sharedRef
-	bt BatchTransport
-}
-
-func (r *sharedBatchRef) SendBatch(pkts [][]byte) (int, error) { return r.bt.SendBatch(pkts) }
-
-func (r *sharedBatchRef) RecvBatch(bufs [][]byte, sizes []int) (int, error) {
-	return r.bt.RecvBatch(bufs, sizes)
+	s.mu.Unlock()
 }
 
 // pacer is a simple token-bucket rate limiter over real time.
@@ -839,20 +716,11 @@ func newPacerInterval(interval time.Duration) *pacer {
 	return &pacer{interval: interval, next: time.Now()}
 }
 
-func (p *pacer) wait() {
-	if p.interval == 0 {
-		return
-	}
-	now := time.Now()
-	if p.next.After(now) {
-		time.Sleep(p.next.Sub(now))
-	}
-	p.next = p.next.Add(p.interval)
-}
+func (p *pacer) wait() { p.waitN(1) }
 
-// waitN is wait for a batch of n probes: sleep until the current slot
-// opens, then advance the schedule n intervals, so the aggregate rate
-// matches n single waits while sleeping at most once per batch.
+// waitN paces a batch of n probes: sleep until the current slot opens,
+// then advance the schedule n intervals, so the aggregate rate matches
+// n single waits while sleeping at most once per batch.
 func (p *pacer) waitN(n int) {
 	if p.interval == 0 || n <= 0 {
 		return

@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"context"
+	"fmt"
 )
 
 // Scanner is a reusable scan runner: a transport factory plus a base
@@ -33,7 +34,48 @@ func (s *Scanner) Scan(ctx context.Context, ts TargetSet, salt uint64, h Handler
 func (s *Scanner) ScanSource(ctx context.Context, src TargetSource, salt uint64, h Handler) (Stats, error) {
 	cfg := s.Config
 	cfg.Seed = ScanSeed(cfg.Seed, salt)
-	return ScanSource(ctx, func(int) (Transport, error) { return s.NewTransport() }, src, cfg, h)
+	return ScanSource(ctx, s.factory, src, cfg, h)
+}
+
+// factory is NewTransport as the engine's per-worker TransportFactory.
+func (s *Scanner) factory(int) (Transport, error) { return s.NewTransport() }
+
+// ScanUntil runs one pass over ts that ends at the first result match
+// accepts — first in the scan's sequential order, not in arrival order.
+// A probe's rank is its position in the order one worker would send in;
+// every worker reads the lowest matching rank before each probe and
+// stops at its first position above it, so the probes sent below the
+// find are exactly a prefix of that order. It returns the matching
+// result of lowest rank (nil when nothing matched; Worker is unset) and
+// the probes it cost: 1 + that rank, or every position when nothing
+// matched — a pure function of (seed, salt, targets, world), equal for
+// every worker count, batch width and transport. Stats.Sent beside it
+// is the honest wire count: never less, more by whatever was in flight
+// above the find when it landed.
+//
+// match is called from every worker concurrently and must be a pure
+// predicate. A find is ranked by its target's place in the permutation,
+// which names one probe only when each target gets exactly one, so the
+// configuration must have ProbesPerTarget 1 and a single-position module.
+func (s *Scanner) ScanUntil(ctx context.Context, ts TargetSet, salt uint64, match func(Result) bool) (*Result, uint64, Stats, error) {
+	cfg := s.Config
+	cfg.fill()
+	cfg.Seed = ScanSeed(cfg.Seed, salt)
+	if cfg.ProbesPerTarget > 1 || cfg.multiplier() > 1 {
+		return nil, 0, Stats{}, fmt.Errorf("zmap: ScanUntil needs one probe per target, have %d x %d",
+			cfg.ProbesPerTarget, cfg.multiplier())
+	}
+	stop := &earlyStop{match: match}
+	stop.ord.Store(noOrdinal)
+	st, err := scan(ctx, s.factory, false, NewPermutedSource(ts), cfg, nil, stop)
+	if err != nil {
+		return nil, 0, st, err
+	}
+	if ord := stop.ord.Load(); ord != noOrdinal {
+		return &stop.res, ord + 1, st, nil
+	}
+	// Nothing matched: every position of this instance's shard.
+	return nil, (ts.Len() + uint64(cfg.Shards-1-cfg.Shard)) / uint64(cfg.Shards), st, nil
 }
 
 // ScanSeed derives the effective Config.Seed a Scanner would use for

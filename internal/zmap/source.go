@@ -2,6 +2,7 @@ package zmap
 
 import (
 	"fmt"
+	"io"
 	"math/bits"
 	"sort"
 	"sync"
@@ -53,6 +54,15 @@ type Stream interface {
 	Next() (target ip6.Addr, pos int, ok bool)
 }
 
+// closeStream releases a stream's resources when its walk ends for any
+// reason — exhaustion, cancellation or transport failure. Generator-
+// backed streams rely on this to stop their feeding goroutines.
+func closeStream(st Stream) {
+	if c, ok := st.(io.Closer); ok {
+		c.Close()
+	}
+}
+
 // shardFilter is the engine's historical two-level partition, shared by
 // every deterministic source: position mod Shards selects the
 // instance's shard, and the in-shard position mod Workers selects the
@@ -81,6 +91,25 @@ func (f *shardFilter) admit() bool {
 		f.workerCnt = 0
 	}
 	return mine
+}
+
+// sequentialRank returns target's position in the sequential order of
+// cfg's shard — src's one-worker stream — by replaying it. ok is false
+// when the stream never emits target.
+func sequentialRank(src TargetSource, cfg Config, target ip6.Addr) (rank uint64, ok bool) {
+	cfg.Workers = 1
+	st, err := src.Stream(&cfg, 0)
+	if err != nil {
+		return 0, false
+	}
+	defer closeStream(st)
+	for ; ; rank++ {
+		if t, _, more := st.Next(); !more {
+			return 0, false
+		} else if t == target {
+			return rank, true
+		}
+	}
 }
 
 // PermutedSource adapts an indexable TargetSet to the source layer: the

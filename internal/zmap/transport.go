@@ -46,7 +46,7 @@ type Exchanger interface {
 // BatchTransport is an optional Transport extension for transports that
 // can move several packets per operation (vectored I/O — sendmmsg and
 // recvmmsg on the UDP wire path). The engine detects it the way it
-// detects Exchanger, and Config.Batch > 1 selects the batched loops.
+// detects Exchanger, and uses it when Config.Batch > 1.
 //
 // Semantics are exactly those of the equivalent single-packet calls:
 // SendBatch(pkts) is indistinguishable from len(pkts) Sends in order,
@@ -286,9 +286,11 @@ func (u *UDP) SetRecvDeadline(t time.Time) error {
 }
 
 // batchAdapter layers BatchTransport over any single-packet Transport
-// by looping. It lets the engine run one batched code path regardless
-// of the transport underneath — a Batch > 1 scan over the Loopback goes
-// through exactly the loops a wire scan does — and doubles as the
+// by looping. It lets the engine run one asynchronous code path
+// regardless of the transport underneath — a Batch > 1 scan over the
+// Loopback goes through exactly the loops a wire scan does, and a scan
+// at width 1 wraps even a BatchTransport in it so every probe stays a
+// plain Send and every reply a plain Recv — and doubles as the
 // conformance-suite reference implementation of batch semantics.
 type batchAdapter struct {
 	tr Transport

@@ -89,7 +89,7 @@ func TestBatchAdapterConformance(t *testing.T) {
 
 func TestUDPConformance(t *testing.T) {
 	w, target := conformanceWorld(t)
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 func TestScanOverUDP(t *testing.T) {
 	w := simnet.TestWorld(61)
 
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
