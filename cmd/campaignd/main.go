@@ -29,13 +29,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"followscent/internal/campaign"
 	"followscent/internal/core"
 	"followscent/internal/experiments"
-	"followscent/internal/ip6"
 	"followscent/internal/zmap"
 )
 
@@ -105,7 +103,7 @@ func buildCoordinator(ctx context.Context, o *options) (*campaign.Coordinator, *
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	prefixes, err := campaignPrefixes(ctx, env, o.prefixes)
+	prefixes, err := experiments.CampaignPrefixes(ctx, env, o.prefixes, log.Printf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -123,7 +121,7 @@ func buildCoordinator(ctx context.Context, o *options) (*campaign.Coordinator, *
 			Prefixes: specPrefixes,
 			Source:   env.Scanner.Config.Source.String(),
 			Seed:     env.Scanner.Config.Seed,
-			Salt:     uint64(0x5eed) ^ 0xca59,
+			Salt:     experiments.DefaultCampaignSalt,
 			Days:     o.days,
 			Shards:   o.shards,
 		},
@@ -192,46 +190,10 @@ func writeCorpus(path string, c *core.Corpus) error {
 	return f.Close()
 }
 
-// campaignPrefixes resolves what the campaign scans: an explicit
-// -prefix list, or the rotating /48s the discovery pipeline finds
-// (deterministic per seed — scanner nodes resolve the same set from the
-// same world).
-func campaignPrefixes(ctx context.Context, env *experiments.Env, arg string) ([]ip6.Prefix, error) {
-	if arg != "" {
-		var out []ip6.Prefix
-		for _, s := range strings.Split(arg, ",") {
-			p, err := ip6.ParsePrefix(strings.TrimSpace(s))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	}
-	s := &experiments.Study{Env: env, Cfg: experiments.StudyConfig{Logf: log.Printf}}
-	if err := s.RunSeed(ctx); err != nil {
-		return nil, err
-	}
-	if err := s.RunDiscovery(ctx); err != nil {
-		return nil, err
-	}
-	if len(s.Discovery.Rotating48s) == 0 {
-		return nil, fmt.Errorf("discovery found no rotating /48s to campaign over")
-	}
-	return s.Discovery.Rotating48s, nil
-}
-
 // buildEnv builds the local world the daemon uses for discovery and
 // result attribution. The coordinator never probes a remote simnetd —
 // the scanner nodes do — so unlike scent/scentd there is no -server
 // here.
 func buildEnv(seedVal uint64, kind string) (*experiments.Env, error) {
-	switch kind {
-	case "default":
-		return experiments.NewEnv(seedVal), nil
-	case "test":
-		return experiments.NewSmallEnv(seedVal), nil
-	default:
-		return nil, fmt.Errorf("unknown world %q", kind)
-	}
+	return experiments.BuildEnv(seedVal, kind, "")
 }

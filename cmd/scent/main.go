@@ -589,29 +589,15 @@ func writeCheckpointFile(path string, cp *zmap.Checkpoint) error {
 	return f.Close()
 }
 
-// buildEnv assembles the probing environment. Remote probing still
-// builds a local world for the BGP table and clock control; the remote
-// simnetd must be started with the same -seed and -world for the
-// attribution to line up (printed as a reminder).
+// buildEnv assembles the probing environment (experiments.BuildEnv)
+// and, for a -server world, reminds that the remote simnetd must run
+// with the same -seed and -world for the attribution to line up.
 func buildEnv(seedVal uint64, kind, server string) (*experiments.Env, error) {
-	var env *experiments.Env
-	switch kind {
-	case "default":
-		env = experiments.NewEnv(seedVal)
-	case "test":
-		env = experiments.NewSmallEnv(seedVal)
-	default:
-		return nil, fmt.Errorf("unknown world %q", kind)
-	}
-	if server != "" {
+	env, err := experiments.BuildEnv(seedVal, kind, server)
+	if err == nil && server != "" {
 		fmt.Printf("probing %s over UDP (run simnetd with -seed %d -world %s)\n", server, seedVal, kind)
-		env.Scanner.NewTransport = func() (zmap.Transport, error) {
-			return zmap.DialUDP(server)
-		}
-		env.Scanner.Config.Rate = 50000
-		env.Scanner.Config.Cooldown = 500 * time.Millisecond
 	}
-	return env, nil
+	return env, err
 }
 
 func runSeed(ctx context.Context, env *experiments.Env) error {

@@ -27,7 +27,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"followscent/internal/core"
@@ -79,9 +78,12 @@ func main() {
 }
 
 func run(ctx context.Context, o *options) error {
-	env, err := buildEnv(o.seed, o.world, o.server)
+	env, err := experiments.BuildEnv(o.seed, o.world, o.server)
 	if err != nil {
 		return err
+	}
+	if o.server != "" {
+		fmt.Printf("probing %s over UDP (run simnetd with -seed %d -world %s)\n", o.server, o.seed, o.world)
 	}
 	env.Scanner.Config.Workers = o.workers
 
@@ -137,13 +139,13 @@ func ingest(ctx context.Context, env *experiments.Env, store *scentd.Store, o *o
 	if o.days <= startDay {
 		return nil
 	}
-	prefixes, err := campaignPrefixes(ctx, env, o.prefixes)
+	prefixes, err := experiments.CampaignPrefixes(ctx, env, o.prefixes, log.Printf)
 	if err != nil {
 		return err
 	}
 	// The campaign salt and target set match experiments.Study's
 	// defaults: identical targets, identical probe order, every day.
-	salt := uint64(0x5eed) ^ 0xca59
+	salt := experiments.DefaultCampaignSalt
 	ts, err := zmap.NewSubnetTargets(prefixes, 64, salt)
 	if err != nil {
 		return err
@@ -192,7 +194,7 @@ func trackBackend(env *experiments.Env, o *options) *scentd.TrackBackend {
 	}
 	return &scentd.TrackBackend{
 		NewSession: func(snap *core.Snapshot) (*scentd.TrackSession, error) {
-			senv, err := buildEnv(o.seed, o.world, "")
+			senv, err := experiments.BuildEnv(o.seed, o.world, "")
 			if err != nil {
 				return nil, err
 			}
@@ -209,55 +211,4 @@ func trackBackend(env *experiments.Env, o *options) *scentd.TrackBackend {
 			}, nil
 		},
 	}
-}
-
-// campaignPrefixes resolves what to scan: an explicit -prefix list, or
-// the rotating /48s the discovery pipeline finds (deterministic per
-// seed — the same set every restart).
-func campaignPrefixes(ctx context.Context, env *experiments.Env, arg string) ([]ip6.Prefix, error) {
-	if arg != "" {
-		var out []ip6.Prefix
-		for _, s := range strings.Split(arg, ",") {
-			p, err := ip6.ParsePrefix(strings.TrimSpace(s))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, p)
-		}
-		return out, nil
-	}
-	s := &experiments.Study{Env: env, Cfg: experiments.StudyConfig{Logf: log.Printf}}
-	if err := s.RunSeed(ctx); err != nil {
-		return nil, err
-	}
-	if err := s.RunDiscovery(ctx); err != nil {
-		return nil, err
-	}
-	if len(s.Discovery.Rotating48s) == 0 {
-		return nil, fmt.Errorf("discovery found no rotating /48s to campaign over")
-	}
-	return s.Discovery.Rotating48s, nil
-}
-
-// buildEnv mirrors cmd/scent's: in-process world, or a remote simnetd
-// started with the same -seed and -world.
-func buildEnv(seedVal uint64, kind, server string) (*experiments.Env, error) {
-	var env *experiments.Env
-	switch kind {
-	case "default":
-		env = experiments.NewEnv(seedVal)
-	case "test":
-		env = experiments.NewSmallEnv(seedVal)
-	default:
-		return nil, fmt.Errorf("unknown world %q", kind)
-	}
-	if server != "" {
-		fmt.Printf("probing %s over UDP (run simnetd with -seed %d -world %s)\n", server, seedVal, kind)
-		env.Scanner.NewTransport = func() (zmap.Transport, error) {
-			return zmap.DialUDP(server)
-		}
-		env.Scanner.Config.Rate = 50000
-		env.Scanner.Config.Cooldown = 500 * time.Millisecond
-	}
-	return env, nil
 }

@@ -1,49 +1,11 @@
 package campaign
 
-import (
-	"fmt"
-	"net"
-	"sync"
+import "followscent/internal/wire"
 
-	"followscent/internal/wire"
-)
-
-// Client is a coordinator connection. Unlike scentd's single-goroutine
-// query client, a campaign worker issues requests from two goroutines
-// at once — the scan handler streaming results and the lease renewer
-// heartbeating — so Do serializes whole round-trips under a mutex (the
-// protocol is one response per request, in order).
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
+// Client is a coordinator connection. A campaign worker shares one
+// between its scan handler and its lease renewer; wire.Client
+// serialises their round trips.
+type Client = wire.Client[Request, Response]
 
 // Dial connects to a coordinator at addr (TCP).
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: dialing coordinator %s: %w", addr, err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// Do performs one request/response round trip.
-func (c *Client) Do(req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := wire.WriteFrame(c.conn, req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := wire.ReadFrame(c.conn, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn.Close()
-}
+func Dial(addr string) (*Client, error) { return wire.Dial[Request, Response](addr) }

@@ -2,9 +2,7 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -96,7 +94,7 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) error {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- wire.Serve(sctx, ln, c.handle, c.Logf) }()
+	go func() { serveErr <- wire.Serve(sctx, ln, wire.Handle(c.answer), c.Logf) }()
 	stop := func(err error) error {
 		cancel()
 		if serr := <-serveErr; err == nil {
@@ -211,28 +209,8 @@ func (c *Coordinator) Dupes() int {
 	return n
 }
 
-// handle answers one worker connection's requests in order until EOF.
-func (c *Coordinator) handle(ctx context.Context, conn net.Conn) error {
-	for {
-		var req Request
-		if err := wire.ReadFrame(conn, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		resp := c.answer(req)
-		if err := wire.WriteFrame(conn, resp); err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-	}
-}
-
 // answer applies one request to the lease table.
-func (c *Coordinator) answer(req Request) Response {
+func (c *Coordinator) answer(_ context.Context, req Request) Response {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if req.Node == "" {

@@ -349,8 +349,8 @@ func loadV2(sc *bufio.Scanner, c *Corpus) error {
 	line := 1
 	have := existingDays(c)
 	type segment struct {
-		day  int          // day segment; -1 for a snap segment
-		days []int        // snap: its sorted day set
+		day  int   // day segment; -1 for a snap segment
+		days []int // snap: its sorted day set
 		meta DaySegmentMeta
 		sd   *ScanDay         // day segment's aggregation
 		sds  map[int]*ScanDay // snap segment's, keyed by day

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"followscent/internal/ip6"
@@ -38,6 +39,32 @@ func NewSmallEnv(seed uint64) *Env {
 // fleet, a silent-heavy edge).
 func NewEnvFor(w *simnet.World, seed uint64) *Env {
 	return envFor(w, seed)
+}
+
+// BuildEnv builds the environment a command names by its -seed, -world
+// (default or test) and -server flags: the in-process world, probed
+// in-process, or — with server set — probed over UDP at a simnetd,
+// rate-limited for a real socket. A remote world still builds the
+// local one for the BGP table and clock control, so the simnetd must
+// run with the same seed and world for attribution to line up.
+func BuildEnv(seed uint64, world, server string) (*Env, error) {
+	var env *Env
+	switch world {
+	case "default":
+		env = NewEnv(seed)
+	case "test":
+		env = NewSmallEnv(seed)
+	default:
+		return nil, fmt.Errorf("unknown world %q", world)
+	}
+	if server != "" {
+		env.Scanner.NewTransport = func() (zmap.Transport, error) {
+			return zmap.DialUDP(server)
+		}
+		env.Scanner.Config.Rate = 50000
+		env.Scanner.Config.Cooldown = 500 * time.Millisecond
+	}
+	return env, nil
 }
 
 func envFor(w *simnet.World, seed uint64) *Env {

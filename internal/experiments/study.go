@@ -3,12 +3,25 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"followscent/internal/core"
 	"followscent/internal/ip6"
 	"followscent/internal/seed"
 	"followscent/internal/simnet"
+)
+
+const (
+	// defaultSalt is StudyConfig's default Salt.
+	defaultSalt = 0x5eed
+	// campaignSaltMask derives the §5 campaign's salt from the study's.
+	campaignSaltMask = 0xca59
+
+	// DefaultCampaignSalt is the salt a default Study's campaign probes
+	// with. scentd's ingestion and campaignd's leases use it too, so all
+	// three probe the same targets in the same order.
+	DefaultCampaignSalt uint64 = defaultSalt ^ campaignSaltMask
 )
 
 // StudyConfig scales the end-to-end reproduction. Zero values take the
@@ -43,7 +56,7 @@ func (c *StudyConfig) fill() {
 		c.CampaignDays = 44
 	}
 	if c.Salt == 0 {
-		c.Salt = 0x5eed
+		c.Salt = defaultSalt
 	}
 }
 
@@ -132,7 +145,7 @@ func (s *Study) RunCampaign(ctx context.Context) error {
 		Prefixes: s.Discovery.Rotating48s,
 		Days:     s.Cfg.CampaignDays,
 		Wait:     s.Env.Wait,
-		Salt:     s.Cfg.Salt ^ 0xca59,
+		Salt:     s.Cfg.Salt ^ campaignSaltMask,
 		Logf:     s.Cfg.Logf,
 	}
 	if err := c.Run(ctx); err != nil {
@@ -143,6 +156,35 @@ func (s *Study) RunCampaign(ctx context.Context) error {
 	s.PoolSamples = s.Corpus.PoolSamples()
 	s.PoolByAS = core.PoolSizeByAS(s.PoolSamples)
 	return nil
+}
+
+// CampaignPrefixes resolves what a campaign scans: the comma-separated
+// prefix list when one is given, otherwise the rotating /48s the §4
+// pipeline finds from env (deterministic per seed, so every daemon and
+// scanner node resolves the same set).
+func CampaignPrefixes(ctx context.Context, env *Env, list string, logf func(format string, args ...any)) ([]ip6.Prefix, error) {
+	if list != "" {
+		var out []ip6.Prefix
+		for _, s := range strings.Split(list, ",") {
+			p, err := ip6.ParsePrefix(strings.TrimSpace(s))
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, p)
+		}
+		return out, nil
+	}
+	s := &Study{Env: env, Cfg: StudyConfig{Logf: logf}}
+	if err := s.RunSeed(ctx); err != nil {
+		return nil, err
+	}
+	if err := s.RunDiscovery(ctx); err != nil {
+		return nil, err
+	}
+	if len(s.Discovery.Rotating48s) == 0 {
+		return nil, fmt.Errorf("discovery found no rotating /48s to campaign over")
+	}
+	return s.Discovery.Rotating48s, nil
 }
 
 // RunAll is seed -> discovery -> campaign.

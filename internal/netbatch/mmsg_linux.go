@@ -88,14 +88,14 @@ type side struct {
 	// Persistent syscall thunks with argument/result slots: the funcs
 	// handed to RawConn.Read/Write are built once in init, so the
 	// steady-state hot path allocates no closures or capture cells.
-	sysN   int // in: message count for do
-	sysRet int // out: syscall result
-	sysErr syscall.Errno
+	sysN    int // in: message count for do
+	sysRet  int // out: syscall result
+	sysErr  syscall.Errno
 	gsoLen  int   // in: bytes of gso to send via doGSO
 	gsoName *byte // in: destination sockaddr for doGSO (nil = connected)
 	gsoNLen uint32
-	do    func(fd uintptr) bool // recvmmsg / sendmmsg over hdrs[:sysN]
-	doGSO func(fd uintptr) bool // sendmsg of gso[:gsoLen] with UDP_SEGMENT
+	do      func(fd uintptr) bool // recvmmsg / sendmmsg over hdrs[:sysN]
+	doGSO   func(fd uintptr) bool // sendmsg of gso[:gsoLen] with UDP_SEGMENT
 }
 
 func (s *side) ensure(n int) {

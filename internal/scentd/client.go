@@ -1,36 +1,9 @@
 package scentd
 
-import (
-	"fmt"
-	"net"
-)
+import "followscent/internal/wire"
 
 // Client is a blocking request/response connection to a scentd.
-type Client struct {
-	conn net.Conn
-}
+type Client = wire.Client[Request, Response]
 
 // Dial connects to a scentd at addr (host:port).
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("scentd: dialing %s: %w", addr, err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// Do sends one request and waits for its response. A transport error
-// leaves the connection unusable.
-func (c *Client) Do(req Request) (Response, error) {
-	if err := WriteFrame(c.conn, req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := ReadFrame(c.conn, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func Dial(addr string) (*Client, error) { return wire.Dial[Request, Response](addr) }

@@ -18,6 +18,7 @@ import (
 	"followscent/internal/ip6"
 	"followscent/internal/oui"
 	"followscent/internal/scentd"
+	"followscent/internal/wire"
 	"followscent/internal/zmap"
 )
 
@@ -485,7 +486,7 @@ func TestWireFrameLimits(t *testing.T) {
 	}
 
 	var huge bytes.Buffer
-	if err := scentd.WriteFrame(&huge, scentd.Request{Addr: string(make([]byte, scentd.MaxFrame))}); err == nil {
+	if err := wire.WriteFrame(&huge, scentd.Request{Addr: string(make([]byte, wire.MaxFrame))}); err == nil {
 		t.Error("WriteFrame accepted a frame over MaxFrame")
 	}
 }

@@ -2,9 +2,7 @@ package scentd
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -70,40 +68,23 @@ type TrackSession struct {
 // Serve accepts and handles connections until ctx is cancelled (the
 // listener is closed to unblock Accept). Each connection gets its own
 // goroutine; Serve returns after every handler has drained. The accept
-// loop is the shared internal/wire one, so scentd and the campaign
-// coordinator serve identically.
+// loop and the per-connection request loop are the shared internal/wire
+// ones, so scentd and the campaign coordinator serve identically.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	return wire.Serve(ctx, ln, s.handle, s.Logf)
+	return wire.Serve(ctx, ln, wire.Handle(s.answer), s.Logf)
 }
 
-// handle answers one connection's requests in order until EOF.
-func (s *Server) handle(ctx context.Context, conn net.Conn) error {
+// answer serves one request from the snapshot current at its arrival.
+func (s *Server) answer(ctx context.Context, req Request) Response {
+	snap := s.Store.Snapshot()
+	if req.Op == "track" {
+		return s.track(ctx, snap, req)
+	}
 	reg := s.OUI
 	if reg == nil {
 		reg = oui.Builtin()
 	}
-	for {
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		snap := s.Store.Snapshot()
-		var resp Response
-		if req.Op == "track" {
-			resp = s.track(ctx, snap, req)
-		} else {
-			resp = Answer(snap, reg, req)
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-	}
+	return Answer(snap, reg, req)
 }
 
 // track runs the live §6 adversary for one device, seeded with the

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"followscent/internal/bgp"
 	"followscent/internal/core"
@@ -340,7 +339,3 @@ func (s *Store) IngestScanDay(day int, scan func(record func(target, from ip6.Ad
 	di.AddProbes(sent)
 	return di.Commit()
 }
-
-// WaitFunc advances time between ingested days (virtual in tests and
-// simulations, wall-clock in production).
-type WaitFunc func(time.Duration)

@@ -1,31 +1,8 @@
 package scentd
 
-import (
-	"io"
-
-	"followscent/internal/wire"
-)
-
-// Wire protocol: each message is a 4-byte big-endian length followed by
-// one JSON object, the shared internal/wire framing (also spoken by the
+// Wire protocol: the shared internal/wire framing (also spoken by the
 // campaign coordinator). One Request yields exactly one Response;
-// requests on one connection are answered in order. The thin aliases
-// below keep scentd's historical API surface — callers and tests use
-// scentd.ReadFrame/WriteFrame unchanged.
-
-// MaxFrame caps a single message; see wire.MaxFrame.
-const MaxFrame = wire.MaxFrame
-
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, v any) error {
-	return wire.WriteFrame(w, v)
-}
-
-// ReadFrame reads one length-prefixed frame into v. io.EOF before the
-// first header byte is returned as-is (a clean connection close).
-func ReadFrame(r io.Reader, v any) error {
-	return wire.ReadFrame(r, v)
-}
+// requests on one connection are answered in order.
 
 // Request is one client query.
 type Request struct {

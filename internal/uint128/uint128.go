@@ -163,10 +163,6 @@ func (u Uint128) BitLen() int {
 	return bits.Len64(u.Lo)
 }
 
-// LeadingZeros returns the number of leading zero bits in u;
-// LeadingZeros(0) == 128.
-func (u Uint128) LeadingZeros() int { return 128 - u.BitLen() }
-
 // TrailingZeros returns the number of trailing zero bits in u;
 // TrailingZeros(0) == 128.
 func (u Uint128) TrailingZeros() int {
@@ -203,12 +199,6 @@ func (u Uint128) Div64(v uint64) (q Uint128, r uint64) {
 	q.Hi, r = bits.Div64(0, u.Hi, v)
 	q.Lo, r = bits.Div64(r, u.Lo, v)
 	return q, r
-}
-
-// Mod64 returns u % v. It panics if v == 0.
-func (u Uint128) Mod64(v uint64) uint64 {
-	_, r := u.Div64(v)
-	return r
 }
 
 // String formats u in decimal.

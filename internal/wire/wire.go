@@ -4,15 +4,17 @@
 // packets, so every protocol built on it is inspectable with nc and a
 // hex dump. One request yields exactly one response; requests on one
 // connection are answered in order. Both scentd's query API and the
-// campaign coordinator speak this framing, so there is exactly one
-// implementation of the length cap, the header encoding, and the
-// goroutine-per-connection serving loop.
+// campaign coordinator speak this framing through the same three
+// pieces, so each exists once: Serve (the goroutine-per-connection
+// accept loop), Handle (the decode → answer → encode loop a connection
+// runs), and Client (the dialling side's serialised round trip).
 package wire
 
 import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -104,4 +106,69 @@ func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format str
 			}
 		}()
 	}
+}
+
+// Handle turns a pure request → response function into a Handler: read
+// one frame into a fresh Req, write answer's Resp, repeat. A clean EOF,
+// or ctx ending after a reply went out, is a clean close (nil). A bad
+// frame returns its wire: error, so Serve logs it and closes only that
+// connection.
+func Handle[Req, Resp any](answer func(ctx context.Context, req Req) Resp) Handler {
+	return func(ctx context.Context, conn net.Conn) error {
+		for {
+			var req Req
+			if err := ReadFrame(conn, &req); err != nil {
+				if errors.Is(err, io.EOF) {
+					return nil
+				}
+				return err
+			}
+			if err := WriteFrame(conn, answer(ctx, req)); err != nil {
+				return err
+			}
+			if ctx.Err() != nil {
+				return nil
+			}
+		}
+	}
+}
+
+// Client is one connection's request/response side. Do serialises whole
+// round trips under a mutex, so goroutines may share a Client (a
+// campaign worker's scan handler and lease renewer do); the protocol is
+// one response per request, in order. A transport error leaves the
+// connection unusable.
+type Client[Req, Resp any] struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+// Dial connects a Client to addr over TCP.
+func Dial[Req, Resp any](addr string) (*Client[Req, Resp], error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
+	}
+	return &Client[Req, Resp]{conn: conn}, nil
+}
+
+// Do performs one round trip.
+func (c *Client[Req, Resp]) Do(req Req) (Resp, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var resp, zero Resp
+	if err := WriteFrame(c.conn, req); err != nil {
+		return zero, err
+	}
+	if err := ReadFrame(c.conn, &resp); err != nil {
+		return zero, err
+	}
+	return resp, nil
+}
+
+// Close closes the connection.
+func (c *Client[Req, Resp]) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.conn.Close()
 }
