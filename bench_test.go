@@ -117,8 +117,8 @@ func BenchmarkTable1_Workers(b *testing.B) {
 // the fault-tolerance machinery armed exactly as `scent -checkpoint`
 // arms it: a Progress tracker recording every worker's high-water
 // position plus the quarantine failure policy. Progress marks cost one
-// uncontended padded atomic store per probe, so bench.sh gates this
-// benchmark's mean within 5% of the unarmed headline.
+// uncontended padded atomic store per probe, so this benchmark's mean
+// should stay within 5% of the unarmed headline.
 func BenchmarkTable1_WithCheckpointing(b *testing.B) {
 	benchTable1(b, 0, true)
 }
@@ -409,8 +409,8 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 // into a live simnetd-style UDP server — per-packet vs vectored
 // sendmmsg/recvmmsg batches (Config.Batch), at 1, 2 and 4 workers with
 // one socket each. The pps metric counts sent probes over the scan's
-// active phase (cooldown excluded); bench.sh gates on batched pps
-// staying >= 5x the per-packet loop at workers=1, where the syscall
+// active phase (cooldown excluded); batched pps should stay >= 5x the
+// per-packet loop at workers=1, where the syscall
 // count is the whole difference. Results are byte-identical across the
 // grid (TestScanBatchUDPEquivalence); this measures what the syscalls
 // cost.
@@ -1051,9 +1051,8 @@ func BenchmarkAblation_PoolWidening(b *testing.B) {
 
 // BenchmarkDefenseMatrix times the full modality × defense matrix —
 // the sweep `scent experiment` emits and internal/experiments asserts
-// cell by cell — and reports its headline counts, so the bench.sh JSON
-// artifact carries the defense scorecard's shape next to the Table 1
-// timing.
+// cell by cell — and reports its headline counts, so the benchmark
+// output carries the defense scorecard's shape next to its timing.
 func BenchmarkDefenseMatrix(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {

@@ -31,9 +31,7 @@ import (
 
 	"followscent/internal/core"
 	"followscent/internal/experiments"
-	"followscent/internal/ip6"
 	"followscent/internal/scentd"
-	"followscent/internal/zmap"
 )
 
 type options struct {
@@ -126,54 +124,36 @@ func run(ctx context.Context, o *options) error {
 	return <-serveErr
 }
 
-// ingest brings the store up to o.days ingested days, scanning exactly
-// as `scent campaign` does so the resulting corpus is bit-for-bit the
-// batch one. A store already holding days resumes after the last one,
-// with the virtual clock advanced to where the uninterrupted run would
-// stand.
+// ingest brings the store up to o.days ingested days with the same
+// core.Campaign `scent campaign` runs, so the resulting corpus is
+// bit-for-bit the batch one; the store's Commit journals and publishes
+// each day. A store already holding days resumes after the last one.
 func ingest(ctx context.Context, env *experiments.Env, store *scentd.Store, o *options, have []int) error {
-	startDay := 0
+	next := 0
 	if len(have) > 0 {
-		startDay = have[len(have)-1] + 1
+		next = have[len(have)-1] + 1
 	}
-	if o.days <= startDay {
-		return nil
+	if o.days <= next {
+		return nil // nothing left to ingest
 	}
 	prefixes, err := experiments.CampaignPrefixes(ctx, env, o.prefixes, log.Printf)
 	if err != nil {
 		return err
 	}
-	// The campaign salt and target set match experiments.Study's
-	// defaults: identical targets, identical probe order, every day.
-	salt := experiments.DefaultCampaignSalt
-	ts, err := zmap.NewSubnetTargets(prefixes, 64, salt)
-	if err != nil {
+	camp := core.Campaign{
+		Scanner:  env.Scanner,
+		Corpus:   store.Corpus(),
+		Prefixes: prefixes,
+		Days:     o.days,
+		Wait:     env.Wait,
+		Salt:     experiments.DefaultCampaignSalt,
+		Logf:     log.Printf,
+		Commit:   store.Commit,
+	}
+	if err := camp.Run(ctx); err != nil && ctx.Err() == nil {
 		return err
 	}
-	env.Wait(time.Duration(startDay) * 24 * time.Hour)
-	for day := startDay; day < o.days; day++ {
-		if ctx.Err() != nil {
-			return nil // interrupted: committed days are durable
-		}
-		err := store.IngestScanDay(day, func(record func(target, from ip6.Addr)) (uint64, error) {
-			stats, err := env.Scanner.Scan(ctx, ts, salt, func(r zmap.Result) {
-				record(r.Target, r.From)
-			})
-			return stats.Sent, err
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		snap := store.Snapshot()
-		log.Printf("day %2d committed: %d devices over %d days", day, snap.NumIIDs(), len(snap.Days()))
-		if day != o.days-1 {
-			env.Wait(24 * time.Hour)
-		}
-	}
-	return nil
+	return nil // done, or interrupted: committed days are durable
 }
 
 // trackBackend wires op=track. An in-process world is deterministic per

@@ -1,8 +1,9 @@
-// Package campaign coordinates a sharded scan across multiple nodes
-// with expiring shard leases — the in-process prototype of the ROADMAP's
-// distributed campaign coordinator. A campaign splits one scan into
-// cfg.Shards zmap-style shards; nodes lease shards, scan them, and merge
-// results with cross-shard deduplication. A node that dies mid-shard
+// Package campaign runs one campaign's daily scan across several nodes
+// with expiring shard leases. A Coordinator (cmd/campaignd) splits each
+// day into Spec.Shards zmap-style shards and serves epoch-fenced leases
+// over internal/wire; Workers (scent work) lease shards, scan them, and
+// stream results back, which the coordinator merges with cross-shard
+// deduplication. A node that dies mid-shard
 // simply stops renewing: its lease expires and the shard is re-issued to
 // a survivor, whose re-scan of the partially-covered shard is absorbed
 // by the merge dedupe (TestCoordinatedCampaignNodeKill).
@@ -24,10 +25,10 @@ type Lease struct {
 	Expiry time.Time
 }
 
-// Manager owns the lease table of one campaign. It is an in-process
-// coordinator (mutex, not consensus), but its interface — grant, renew,
-// complete, all epoch-fenced — is the one a distributed scentd would
-// speak.
+// Manager owns the lease table of one campaign day: grant, renew and
+// complete, all epoch-fenced, under one mutex (not consensus). The
+// Coordinator opens one per day and answers workers' lease requests
+// from it.
 type Manager struct {
 	ttl time.Duration
 	now func() time.Time

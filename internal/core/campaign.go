@@ -26,9 +26,14 @@ type Campaign struct {
 	Salt uint64
 	// Logf, when set, receives per-day progress.
 	Logf func(format string, args ...any)
+	// Commit commits each scanned day (nil: ScanDay.Commit); a journaled
+	// store passes scentd.Store.Commit. An error ends the campaign.
+	Commit func(*ScanDay) error
 }
 
-// Run executes the campaign, filling the corpus.
+// Run executes the campaign, filling the corpus. Over a corpus holding
+// days 0..k-1 it resumes: it first advances Wait by k days, as a freshly
+// built world needs, then scans days k..Days-1.
 func (c *Campaign) Run(ctx context.Context) error {
 	if c.Days <= 0 {
 		return fmt.Errorf("core: campaign needs Days > 0")
@@ -43,7 +48,18 @@ func (c *Campaign) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	for day := 0; day < c.Days; day++ {
+	commit := c.Commit
+	if commit == nil {
+		commit = func(sd *ScanDay) error { sd.Commit(); return nil }
+	}
+	start := 0
+	if have := c.Corpus.Days(); len(have) > 0 {
+		start = have[len(have)-1] + 1
+	}
+	if start > 0 && start < c.Days {
+		c.Wait(time.Duration(start) * 24 * time.Hour)
+	}
+	for day := start; day < c.Days; day++ {
 		sd := c.Corpus.NewScanDay(day)
 		stats, err := c.Scanner.Scan(ctx, ts, c.Salt, func(r zmap.Result) {
 			sd.Record(r.Target, r.From)
@@ -52,9 +68,11 @@ func (c *Campaign) Run(ctx context.Context) error {
 			return fmt.Errorf("core: campaign day %d: %w", day, err)
 		}
 		sd.AddProbes(stats.Sent)
-		sd.Commit()
+		if err := commit(sd); err != nil {
+			return fmt.Errorf("core: campaign day %d: %w", day, err)
+		}
 		if c.Logf != nil {
-			c.Logf("day %2d: %d probes, %d responses", day, stats.Sent, stats.Matched)
+			c.Logf("day %2d committed: %d probes, %d responses", day, stats.Sent, stats.Matched)
 		}
 		if day != c.Days-1 {
 			c.Wait(24 * time.Hour)

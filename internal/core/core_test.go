@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -493,6 +494,17 @@ func TestCorpusAccounting(t *testing.T) {
 	sd.Record(ip6.MustParseAddr("2001:db8:1:ff::2"), eui)
 	sd.Record(ip6.MustParseAddr("2001:db8:2::1"), priv)
 	sd.AddProbes(10)
+	// An open ScanDay is invisible: nothing reaches the corpus before
+	// Commit.
+	if p, r := corpus.Totals(); p != 0 || r != 0 {
+		t.Fatalf("open day leaked probes/responses %d/%d", p, r)
+	}
+	if total, euiN := corpus.UniqueAddrs(); total != 0 || euiN != 0 {
+		t.Fatalf("open day leaked unique addrs %d/%d", total, euiN)
+	}
+	if len(corpus.Days()) != 0 || corpus.NumIIDs() != 0 {
+		t.Fatalf("open day leaked days %v / %d IIDs", corpus.Days(), corpus.NumIIDs())
+	}
 	sd.Commit()
 
 	total, euiN := corpus.UniqueAddrs()
@@ -518,5 +530,75 @@ func TestCorpusAccounting(t *testing.T) {
 	}
 	if mac, ok := rec.MAC(); !ok || mac.String() != "38:10:d5:00:00:01" {
 		t.Errorf("MAC = %v %v", mac, ok)
+	}
+
+	// Day 1 repeats one EUI-64 and one non-EUI responder and brings one
+	// new of each: Meta is exactly the before/after delta.
+	eui2 := ip6.MustParsePrefix("2001:db8:3::/64").Addr().WithIID(ip6.EUI64FromMAC(ip6.MustParseMAC("38:10:d5:00:00:02")))
+	priv2 := ip6.MustParseAddr("2001:db8:4::1234:5678:9abc:def0")
+	p0, r0 := corpus.Totals()
+	t0, e0 := corpus.UniqueAddrs()
+	sd1 := corpus.NewScanDay(1)
+	for _, from := range []ip6.Addr{eui, priv, eui2, priv2, eui2} {
+		sd1.Record(from, from)
+	}
+	sd1.AddProbes(7)
+	sd1.Commit()
+	p1, r1 := corpus.Totals()
+	t1, e1 := corpus.UniqueAddrs()
+	delta := core.DaySegmentMeta{Probes: p1 - p0, Responses: r1 - r0, NewTotalAddrs: t1 - t0, NewEUIAddrs: e1 - e0}
+	want := core.DaySegmentMeta{Probes: 7, Responses: 5, NewTotalAddrs: 2, NewEUIAddrs: 1}
+	if got := sd1.Meta(); got != delta || delta != want {
+		t.Errorf("day 1 Meta %+v, corpus delta %+v, want both %+v", got, delta, want)
+	}
+
+	// A second Commit adds nothing.
+	var before, after bytes.Buffer
+	if err := corpus.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	sd1.Commit()
+	if err := corpus.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("a second Commit changed the corpus:\n%s\nvs\n%s", after.Bytes(), before.Bytes())
+	}
+}
+
+// TestCampaignResumesAfterLastDay: a campaign over a corpus that already
+// holds days scans only the days after the last one, advancing a freshly
+// built world's clock to where the uninterrupted run stands — the
+// restart cmd/scentd performs. One day, then Days: 3 on a fresh
+// same-seed world, equals three days in one run, byte for byte.
+func TestCampaignResumesAfterLastDay(t *testing.T) {
+	const seed = 50
+	pools := func(w *simnet.World) []ip6.Prefix { return []ip6.Prefix{poolOf(t, w, 65001, 0).Prefix} }
+	save := func(c *core.Corpus) []byte {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	w := simnet.TestWorld(seed)
+	want := save(runCampaign(t, w, pools(w), 3))
+
+	w1 := simnet.TestWorld(seed)
+	corpus := runCampaign(t, w1, pools(w1), 1)
+	w2 := simnet.TestWorld(seed)
+	c := core.Campaign{
+		Scanner:  scannerFor(w2),
+		Corpus:   corpus,
+		Prefixes: pools(w2),
+		Days:     3,
+		Wait:     w2.Clock().Advance,
+		Salt:     7,
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := save(corpus); !bytes.Equal(got, want) {
+		t.Errorf("resumed campaign diverges from the uninterrupted one:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -65,8 +65,9 @@ func (r *IIDRecord) ASNs() []uint32 {
 func (r *IIDRecord) MAC() (ip6.MAC, bool) { return ip6.MACFromEUI64(uint64(r.IID)) }
 
 // Corpus is the accumulated campaign dataset: per-IID records plus
-// per-day global statistics. A Corpus is safe for concurrent AddScan
-// calls from one scan at a time interleaved with reads.
+// per-day global statistics. Reads are safe from any goroutine and may
+// interleave with ScanDay.Commit, which applies a whole day under one
+// lock.
 type Corpus struct {
 	rib *bgp.Table
 
@@ -96,13 +97,16 @@ func NewCorpus(rib *bgp.Table) *Corpus {
 	}
 }
 
-// ScanDay collects one day's scan into the corpus. Use NewScanDay, feed
-// it every probe result, then Commit.
+// ScanDay collects one day's scan. It is day-local until Commit: Record
+// and AddProbes touch only the ScanDay, so a day that is never committed
+// leaves no trace in the corpus. Use NewScanDay, feed it every probe
+// result from one goroutine, then Commit.
 type ScanDay struct {
-	c   *Corpus
-	day int
-	// agg groups by (IID, response address) for the day.
-	agg map[dayKey]*DayObs
+	c     *Corpus
+	day   int
+	agg   map[dayKey]*DayObs    // EUI-64 responses by (IID, address); nil once committed
+	other map[ip6.Addr]struct{} // the day's non-EUI-64 responders
+	meta  DaySegmentMeta        // see Meta
 }
 
 type dayKey struct {
@@ -112,24 +116,25 @@ type dayKey struct {
 
 // NewScanDay starts collecting observations for the given day index.
 func (c *Corpus) NewScanDay(day int) *ScanDay {
-	return &ScanDay{c: c, day: day, agg: make(map[dayKey]*DayObs)}
+	return &ScanDay{c: c, day: day, agg: make(map[dayKey]*DayObs), other: make(map[ip6.Addr]struct{})}
 }
 
+// Day returns the day index the ScanDay collects.
+func (s *ScanDay) Day() int { return s.day }
+
+// Meta returns the day's counters: the probes and responses recorded
+// and, once committed, how many response addresses (all, EUI-64) the
+// commit added to the corpus — the deltas a journal segment persists.
+func (s *ScanDay) Meta() DaySegmentMeta { return s.meta }
+
 // Record adds one probe result: the probed target and the source of the
-// response. Non-EUI-64 responses update the global counters only, as in
-// the paper (14.8M of 19.4M discovered addresses were EUI-64; only those
-// drive the per-IID analyses).
+// response. Non-EUI-64 responses count toward the global counters only,
+// as in the paper (14.8M of 19.4M discovered addresses were EUI-64; only
+// those drive the per-IID analyses).
 func (s *ScanDay) Record(target, from ip6.Addr) {
-	c := s.c
-	c.mu.Lock()
-	c.TotalResponses++
-	c.totalAddrs[from] = struct{}{}
-	isEUI := ip6.AddrIsEUI64(from)
-	if isEUI {
-		c.euiAddrs[from] = struct{}{}
-	}
-	c.mu.Unlock()
-	if !isEUI {
+	s.meta.Responses++
+	if !ip6.AddrIsEUI64(from) {
+		s.other[from] = struct{}{}
 		return
 	}
 	k := dayKey{IID(from.IID()), from}
@@ -149,17 +154,39 @@ func (s *ScanDay) Record(target, from ip6.Addr) {
 }
 
 // AddProbes accounts probes sent (responsive or not).
-func (s *ScanDay) AddProbes(n uint64) {
-	s.c.mu.Lock()
-	s.c.TotalProbes += n
-	s.c.mu.Unlock()
-}
+func (s *ScanDay) AddProbes(n uint64) { s.meta.Probes += n }
 
-// Commit merges the day's aggregation into the corpus.
+// Commit folds the day into the corpus under one lock: the probe and
+// response counters, the day's responders into the corpus-wide unique
+// address sets (Meta then counts the new ones), and its observations.
+// A second Commit adds nothing.
 func (s *ScanDay) Commit() {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if s.agg == nil {
+		return
+	}
+	c.TotalProbes += s.meta.Probes
+	c.TotalResponses += s.meta.Responses
+	total0, eui0 := len(c.totalAddrs), len(c.euiAddrs)
+	for k := range s.agg {
+		c.totalAddrs[k.resp] = struct{}{}
+		c.euiAddrs[k.resp] = struct{}{}
+	}
+	for a := range s.other {
+		c.totalAddrs[a] = struct{}{}
+	}
+	s.meta.NewTotalAddrs = len(c.totalAddrs) - total0
+	s.meta.NewEUIAddrs = len(c.euiAddrs) - eui0
+	s.other = nil
+	s.mergeLocked()
+}
+
+// mergeLocked appends the day's observations to their IID records and
+// marks the day present. The caller holds c.mu.
+func (s *ScanDay) mergeLocked() {
+	c := s.c
 	c.days[s.day] = struct{}{}
 	// Deterministic merge order (map iteration is randomized).
 	keys := make([]dayKey, 0, len(s.agg))
@@ -233,8 +260,8 @@ func (c *Corpus) NumIIDs() int {
 	return len(c.iids)
 }
 
-// Totals returns the global probe/response counters under the lock —
-// the consistent pair incremental ingestion needs for delta accounting.
+// Totals returns the global probe/response counters as one consistent
+// pair.
 func (c *Corpus) Totals() (probes, responses uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

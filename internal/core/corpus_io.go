@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -248,11 +249,10 @@ func loadV1(sc *bufio.Scanner, c *Corpus) error {
 	line := 1 // the magic line was consumed by LoadCorpus
 	have := existingDays(c)
 	var (
-		pending                    = map[int]*ScanDay{}
-		newDays                    bool
-		sawDay                     bool
-		addProbes, addResponses    uint64
-		addTotalAddrs, addEUIAddrs int
+		pending = map[int]*ScanDay{}
+		newDays bool
+		sawDay  bool
+		meta    DaySegmentMeta
 	)
 	for sc.Scan() {
 		line++
@@ -271,9 +271,9 @@ func loadV1(sc *bufio.Scanner, c *Corpus) error {
 				return fmt.Errorf("core: line %d: %w", line, err)
 			}
 			if fields[0] == "probes" {
-				addProbes += v
+				meta.Probes += v
 			} else {
-				addResponses += v
+				meta.Responses += v
 			}
 		case "uniqueaddrs":
 			if len(fields) != 3 {
@@ -284,8 +284,8 @@ func loadV1(sc *bufio.Scanner, c *Corpus) error {
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("core: line %d: bad uniqueaddrs", line)
 			}
-			addTotalAddrs += total
-			addEUIAddrs += eui
+			meta.NewTotalAddrs += total
+			meta.NewEUIAddrs += eui
 		case "obs":
 			day, resp, minHi, maxHi, count, err := parseObs(fields, line)
 			if err != nil {
@@ -309,28 +309,12 @@ func loadV1(sc *bufio.Scanner, c *Corpus) error {
 	if err := scanErr(sc, line+1); err != nil {
 		return err
 	}
-	// Commit in day order for deterministic chronology.
-	days := make([]int, 0, len(pending))
-	for d := range pending {
-		days = append(days, d)
-	}
-	for len(days) > 0 {
-		min, mi := days[0], 0
-		for i, d := range days {
-			if d < min {
-				min, mi = d, i
-			}
-		}
-		days = append(days[:mi], days[mi+1:]...)
-		pending[min].Commit()
-	}
 	if newDays || !sawDay {
-		c.mu.Lock()
-		c.TotalProbes += addProbes
-		c.TotalResponses += addResponses
-		c.loadedTotalAddrs += addTotalAddrs
-		c.loadedEUIAddrs += addEUIAddrs
-		c.mu.Unlock()
+		sds := make([]*ScanDay, 0, len(pending))
+		for _, sd := range pending {
+			sds = append(sds, sd)
+		}
+		c.addLoaded(meta, sds...)
 	}
 	return nil
 }
@@ -468,13 +452,7 @@ func loadV2(sc *bufio.Scanner, c *Corpus) error {
 				return fmt.Errorf("core: line %d: endday does not close day %d", line, seg.day)
 			}
 			if !have[seg.day] {
-				seg.sd.Commit()
-				c.mu.Lock()
-				c.TotalProbes += seg.meta.Probes
-				c.TotalResponses += seg.meta.Responses
-				c.loadedTotalAddrs += seg.meta.NewTotalAddrs
-				c.loadedEUIAddrs += seg.meta.NewEUIAddrs
-				c.mu.Unlock()
+				c.addLoaded(seg.meta, seg.sd)
 				have[seg.day] = true
 			}
 			seg = nil
@@ -483,23 +461,18 @@ func loadV2(sc *bufio.Scanner, c *Corpus) error {
 				return fmt.Errorf("core: line %d: endsnap inside a day %d segment", line, seg.day)
 			}
 			if !seg.skip {
-				// Commit in day order for deterministic chronology. A day
-				// with no observations still counts as committed — an
-				// all-silent scan day is corpus history too.
+				// A day with no observations still counts as committed —
+				// an all-silent scan day is corpus history too.
+				sds := make([]*ScanDay, 0, len(seg.days))
 				for _, d := range seg.days {
 					sd, ok := seg.sds[d]
 					if !ok {
 						sd = c.NewScanDay(d)
 					}
-					sd.Commit()
+					sds = append(sds, sd)
 					have[d] = true
 				}
-				c.mu.Lock()
-				c.TotalProbes += seg.meta.Probes
-				c.TotalResponses += seg.meta.Responses
-				c.loadedTotalAddrs += seg.meta.NewTotalAddrs
-				c.loadedEUIAddrs += seg.meta.NewEUIAddrs
-				c.mu.Unlock()
+				c.addLoaded(seg.meta, sds...)
 			}
 			seg = nil
 		default:
@@ -512,6 +485,23 @@ func loadV2(sc *bufio.Scanner, c *Corpus) error {
 	// seg != nil here means a torn trailing segment: dropped, per the
 	// journal contract — the day was never durably committed.
 	return nil
+}
+
+// addLoaded commits days read from a corpus file, in day order for a
+// deterministic chronology, and applies the file's counters, all under
+// one lock. The days' responders stay out of the live address sets: the
+// file carries no per-address sets, so its counts are carried instead.
+func (c *Corpus) addLoaded(m DaySegmentMeta, days ...*ScanDay) {
+	sort.Slice(days, func(i, j int) bool { return days[i].day < days[j].day })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sd := range days {
+		sd.mergeLocked()
+	}
+	c.TotalProbes += m.Probes
+	c.TotalResponses += m.Responses
+	c.loadedTotalAddrs += m.NewTotalAddrs
+	c.loadedEUIAddrs += m.NewEUIAddrs
 }
 
 // insertLoaded restores one aggregated observation, bypassing the

@@ -157,8 +157,8 @@ func (m *Matrix) BlockingFor(world, granularity string) (BlockingRow, bool) {
 	return BlockingRow{}, false
 }
 
-// Headline is the one-line summary bench.sh carries in its JSON
-// artifact next to the Table 1 headline.
+// Headline is the matrix's one-line summary: its worlds, modalities,
+// budgets and cell count.
 func (m *Matrix) Headline() string {
 	return fmt.Sprintf("defense matrix: %d worlds x %d modalities x %d budgets, %d cells",
 		len(m.Worlds), len(MatrixModalities), len(m.Budgets), len(m.Cells))

@@ -19,7 +19,6 @@ import (
 	"followscent/internal/oui"
 	"followscent/internal/scentd"
 	"followscent/internal/wire"
-	"followscent/internal/zmap"
 )
 
 // Synthetic-fixture half: store semantics, snapshot isolation and the
@@ -292,7 +291,13 @@ func TestStoreMisuse(t *testing.T) {
 	if _, err := st.BeginDay(2); err == nil {
 		t.Error("two concurrent DayIngests did not error")
 	}
+	if err := st.Commit(st.Corpus().NewScanDay(2)); err == nil {
+		t.Error("Store.Commit with a DayIngest open did not error")
+	}
 	di.Abandon()
+	if err := st.Commit(st.Corpus().NewScanDay(0)); err == nil {
+		t.Error("Store.Commit of an existing day did not error")
+	}
 	if _, err := st.BeginDay(2); err != nil {
 		t.Errorf("BeginDay after Abandon: %v", err)
 	}
@@ -509,34 +514,21 @@ func worldPools(env *experiments.Env) []ip6.Prefix {
 }
 
 // ingestCampaign ingests a scanned campaign over prefixes into the
-// store exactly as cmd/scentd does, resuming after any days the store
-// already holds.
+// store with the core.Campaign call cmd/scentd makes, resuming after any
+// days the store already holds.
 func ingestCampaign(t *testing.T, env *experiments.Env, st *scentd.Store, prefixes []ip6.Prefix, days int) {
 	t.Helper()
-	ctx := context.Background()
-	ts, err := zmap.NewSubnetTargets(prefixes, 64, campaignSalt)
-	if err != nil {
+	camp := core.Campaign{
+		Scanner:  env.Scanner,
+		Corpus:   st.Corpus(),
+		Prefixes: prefixes,
+		Days:     days,
+		Wait:     env.Wait,
+		Salt:     campaignSalt,
+		Commit:   st.Commit,
+	}
+	if err := camp.Run(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	have := st.Corpus().Days()
-	start := 0
-	if len(have) > 0 {
-		start = have[len(have)-1] + 1
-	}
-	env.Wait(time.Duration(start) * 24 * time.Hour)
-	for day := start; day < days; day++ {
-		err := st.IngestScanDay(day, func(record func(target, from ip6.Addr)) (uint64, error) {
-			stats, err := env.Scanner.Scan(ctx, ts, campaignSalt, func(r zmap.Result) {
-				record(r.Target, r.From)
-			})
-			return stats.Sent, err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if day != days-1 {
-			env.Wait(24 * time.Hour)
-		}
 	}
 }
 
@@ -566,15 +558,27 @@ func TestScentdIngestEqualsBatchCampaign(t *testing.T) {
 	// Incremental: a fresh identical world, ingested day by day. The
 	// store's RIB is the serving world's, so attribution lines up.
 	env := experiments.NewSmallEnv(seed)
-	st2, err := scentd.OpenStore(filepath.Join(t.TempDir(), "c2.journal"), env.World.RIB())
+	path := filepath.Join(t.TempDir(), "c2.journal")
+	st2, err := scentd.OpenStore(path, env.World.RIB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
 	ingestCampaign(t, env, st2, worldPools(env), days)
 
 	if got := corpusBytes(t, st2.Snapshot().Corpus()); !bytes.Equal(got, want) {
 		t.Error("incremental campaign corpus diverges from the batch campaign corpus")
+	}
+	st2.Close()
+
+	// The journal replays to the same bytes: every segment's counter
+	// deltas (ScanDay.Meta) were right.
+	st3, err := scentd.OpenStore(path, env.World.RIB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if got := corpusBytes(t, st3.Snapshot().Corpus()); !bytes.Equal(got, want) {
+		t.Errorf("corpus replayed from the journal diverges from the batch campaign corpus:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -5,10 +5,10 @@
 // an immutable core.Snapshot at each commit boundary; a Server answers
 // concurrent client queries against whichever snapshot is current.
 //
-// The isolation contract: queries never see a half-ingested day.
-// Ingestion mutates the live corpus freely, but the snapshot pointer
-// advances only inside DayIngest.Commit, after the day's aggregation,
-// journal append, and counter deltas are all complete. Every answer is
+// The isolation contract: queries never see a half-ingested day. A day
+// being ingested lives in a core.ScanDay, which touches the live corpus
+// only when it commits, and the snapshot pointer advances only after
+// that commit and the day's journal append are complete. Every answer is
 // therefore byte-identical to the batch computation over the snapshot's
 // day set — the snapshot *is* that batch computation, over a frozen
 // deep copy.
@@ -150,84 +150,78 @@ func (s *Store) Close() error { return s.f.Close() }
 // DayIngest accumulates one scan day. Obtain with BeginDay, feed every
 // probe result through Record, account probes with AddProbes, then
 // Commit — which journals the day, publishes the new snapshot, and
-// makes the day durable.
-//
-// The ingest buffers its observations and touches the corpus only
-// inside Commit. That keeps the live corpus byte-for-byte equal to the
-// journal between commits: an abandoned day leaves no trace anywhere
-// (not even in the global response counters, which core.ScanDay.Record
-// would otherwise bump immediately), so a restart replaying the journal
-// reconstructs exactly the state an uninterrupted run serves.
+// makes the day durable. The day lives in a core.ScanDay until then,
+// so an abandoned day leaves no trace anywhere.
 type DayIngest struct {
-	s      *Store
-	day    int
-	recs   []probeRec
-	probes uint64
+	s  *Store
+	sd *core.ScanDay
 }
-
-type probeRec struct{ target, from ip6.Addr }
 
 // BeginDay starts ingesting the given day. It fails if the store is
 // broken, another DayIngest is open (one ingester at a time — days are
 // a total order), or the day is already in the corpus.
 func (s *Store) BeginDay(day int) (*DayIngest, error) {
+	if err := s.claim(day); err != nil {
+		return nil, err
+	}
+	return &DayIngest{s: s, sd: s.c.NewScanDay(day)}, nil
+}
+
+// Record adds one probe result (the probed target and the response
+// source). Like core.ScanDay.Record, it is fed from one scan's handler
+// and is not itself goroutine-safe.
+func (d *DayIngest) Record(target, from ip6.Addr) { d.sd.Record(target, from) }
+
+// AddProbes accounts probes sent this day (responsive or not).
+func (d *DayIngest) AddProbes(n uint64) { d.sd.AddProbes(n) }
+
+// Commit applies the day to the corpus, appends its journal segment,
+// and publishes the new snapshot.
+func (d *DayIngest) Commit() error { return d.s.commit(d.sd) }
+
+// Commit journals a day scanned into sd, a ScanDay of s.Corpus(), and
+// publishes it: BeginDay and DayIngest.Commit in one call, the commit
+// hook core.Campaign takes. It fails where BeginDay would.
+func (s *Store) Commit(sd *core.ScanDay) error {
+	if err := s.claim(sd.Day()); err != nil {
+		return err
+	}
+	return s.commit(sd)
+}
+
+// claim takes the ingestion slot for day, or says why it cannot.
+func (s *Store) claim(day int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken != nil {
-		return nil, fmt.Errorf("scentd: store is broken: %w", s.broken)
+		return fmt.Errorf("scentd: store is broken: %w", s.broken)
 	}
 	if s.ingesting {
-		return nil, fmt.Errorf("scentd: another day is being ingested")
+		return fmt.Errorf("scentd: another day is being ingested")
 	}
 	for _, d := range s.c.Days() {
 		if d == day {
-			return nil, fmt.Errorf("scentd: day %d already ingested", day)
+			return fmt.Errorf("scentd: day %d already ingested", day)
 		}
 	}
 	s.ingesting = true
-	return &DayIngest{s: s, day: day}, nil
+	return nil
 }
 
-// Record buffers one probe result (the probed target and the response
-// source). Like core.ScanDay.Record, it is fed from one scan's handler
-// and is not itself goroutine-safe.
-func (d *DayIngest) Record(target, from ip6.Addr) {
-	d.recs = append(d.recs, probeRec{target, from})
-}
-
-// AddProbes accounts probes sent this day (responsive or not).
-func (d *DayIngest) AddProbes(n uint64) { d.probes += n }
-
-// Commit applies the buffered day to the corpus, appends its journal
-// segment, and publishes the new snapshot. On journal failure the
-// store goes sticky-broken: the in-memory corpus and the file
-// disagree, and serving on must not pretend otherwise.
-func (d *DayIngest) Commit() error {
-	s := d.s
-	probes0, responses0 := s.c.Totals()
-	total0, eui0 := s.c.UniqueAddrs()
-	sd := s.c.NewScanDay(d.day)
-	for _, r := range d.recs {
-		sd.Record(r.target, r.from)
-	}
-	sd.AddProbes(d.probes)
+// commit applies a claimed day to the corpus, appends its journal
+// segment, fsyncs, publishes the new snapshot, and frees the slot. On
+// journal failure the store goes sticky-broken: the in-memory corpus
+// and the file disagree, and serving on must not pretend otherwise.
+func (s *Store) commit(sd *core.ScanDay) error {
 	sd.Commit()
-	probes, responses := s.c.Totals()
-	total, eui := s.c.UniqueAddrs()
-	meta := core.DaySegmentMeta{
-		Probes:        probes - probes0,
-		Responses:     responses - responses0,
-		NewTotalAddrs: total - total0,
-		NewEUIAddrs:   eui - eui0,
-	}
-	err := s.c.SaveDay(s.f, d.day, meta)
+	err := s.c.SaveDay(s.f, sd.Day(), sd.Meta())
 	if err == nil {
 		err = s.f.Sync()
 	}
 	s.mu.Lock()
 	s.ingesting = false
 	if err != nil {
-		s.broken = fmt.Errorf("journaling day %d: %w", d.day, err)
+		s.broken = fmt.Errorf("journaling day %d: %w", sd.Day(), err)
 		s.mu.Unlock()
 		return fmt.Errorf("scentd: %w", s.broken)
 	}
@@ -321,21 +315,4 @@ func (s *Store) Compact() error {
 	s.f.Close()
 	s.f = f
 	return done(nil, false)
-}
-
-// IngestScanDay runs one scanner pass over ts and commits it as the
-// given day — the convenience wrapper cmd/scentd and tests use to
-// splice live scanning into the store.
-func (s *Store) IngestScanDay(day int, scan func(record func(target, from ip6.Addr)) (sent uint64, err error)) error {
-	di, err := s.BeginDay(day)
-	if err != nil {
-		return err
-	}
-	sent, err := scan(di.Record)
-	if err != nil {
-		di.Abandon()
-		return fmt.Errorf("scentd: scanning day %d: %w", day, err)
-	}
-	di.AddProbes(sent)
-	return di.Commit()
 }
