@@ -8,18 +8,18 @@ import (
 	"testing"
 )
 
-// TestDesignCitesRealTests keeps DESIGN.md honest: every `TestXxx` and
-// `BenchmarkXxx` name the document cites (the module matrix's "Proof"
-// column, the ablation index, the experiment index) must exist as a
-// function in some _test.go file, so a renamed or deleted test cannot
-// leave a dangling citation.
+// TestDesignCitesRealTests keeps DESIGN.md honest: every `TestXxx`,
+// `BenchmarkXxx` and `FuzzXxx` name the document cites (the module
+// matrix's "Proof" column, the ablation index, the experiment index)
+// must exist as a function in some _test.go file, so a renamed or
+// deleted test cannot leave a dangling citation.
 func TestDesignCitesRealTests(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cited := map[string]bool{}
-	re := regexp.MustCompile("`((?:Test|Benchmark)[A-Za-z0-9_]+)`")
+	re := regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]+)`")
 	for _, m := range re.FindAllStringSubmatch(string(doc), -1) {
 		cited[m[1]] = true
 	}
@@ -39,7 +39,7 @@ func TestDesignCitesRealTests(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		fre := regexp.MustCompile(`func ((?:Test|Benchmark)[A-Za-z0-9_]+)\(`)
+		fre := regexp.MustCompile(`func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]+)\(`)
 		for _, m := range fre.FindAllStringSubmatch(string(b), -1) {
 			defined[m[1]] = true
 		}

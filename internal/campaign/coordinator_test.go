@@ -110,8 +110,11 @@ func dyingFactory(addr string) func(day, shard int) zmap.TransportFactory {
 
 // runCoordinated drives one distributed campaign: a Coordinator serving
 // TCP, the world served over UDP like a real simnetd, and n workers
-// built by mkWorker (which may inject faults or wrap contexts).
-func runCoordinated(t *testing.T, n int, mkWorker func(i int, worldAddr, coordAddr string) (*campaign.Worker, context.Context)) *coordRun {
+// built by mkWorker (which may inject faults or wrap contexts). Nodes
+// started outside the n slots are counted in others; the coordinator
+// stops serving only after they return too, since it answers no request
+// sent after it is cancelled.
+func runCoordinated(t *testing.T, n int, mkWorker func(i int, worldAddr, coordAddr string) (*campaign.Worker, context.Context), others ...*sync.WaitGroup) *coordRun {
 	t.Helper()
 	world := campWorld(9)
 	conn, err := simnet.ListenUDP(&net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -177,6 +180,9 @@ func runCoordinated(t *testing.T, n int, mkWorker func(i int, worldAddr, coordAd
 		}(i, w, wctx)
 	}
 	wg.Wait()
+	for _, o := range others {
+		o.Wait()
+	}
 
 	select {
 	case <-coord.Finished():
@@ -317,8 +323,7 @@ func TestWorkerKillAndRestart(t *testing.T) {
 			}()
 		})
 		return w, wctx
-	})
-	restartWG.Wait()
+	}, &restartWG)
 	if run.nodeErrs[0] != nil {
 		t.Fatalf("surviving node errored: %v", run.nodeErrs[0])
 	}

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -212,7 +213,12 @@ func (s *ScanDay) mergeLocked() {
 			}
 			c.iids[k.iid] = rec
 		}
-		rec.Days = append(rec.Days, *obs)
+		// A day committed after a later one still lands in day order.
+		at := len(rec.Days)
+		for at > 0 && rec.Days[at-1].Day > s.day {
+			at--
+		}
+		rec.Days = slices.Insert(rec.Days, at, *obs)
 		hi := obs.Resp.High64()
 		if hi < rec.MinRespHi {
 			rec.MinRespHi = hi

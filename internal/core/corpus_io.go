@@ -2,9 +2,12 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,34 +15,35 @@ import (
 	"followscent/internal/ip6"
 )
 
-// Corpus persistence. Two line-oriented text formats share one loader:
+// Corpus persistence: one line-oriented text format, the journal. A
+// header line is followed by self-contained segments, each carrying
+// counter lines and obs lines and committed by its closing line:
 //
-//   - v1 is the whole-corpus snapshot batch mode always used: global
-//     counters up front, then every observation. Save writes it.
-//   - v2 is the append-friendly journal incremental ingestion needs:
-//     a header line, then self-contained per-day segments (day-local
-//     counter deltas plus that day's observations, closed by an
-//     `endday` marker). SaveDay appends one segment; a serving store
-//     appends a segment per committed day and never rewrites history.
+//   - a day segment, `day N` … `endday N`, carries one day's counter
+//     deltas and observations. SaveDay appends one; a serving store
+//     appends one per committed day and never rewrites history.
+//   - a snap segment, `snap d1 d2 …` … `endsnap`, carries a whole
+//     corpus history at once. Save is the header plus one snap segment;
+//     Store.Compact rewrites a journal that way. Day segments for later
+//     days may follow it.
 //
-// The EUI-64 observation records are persisted exactly; the global
-// probe/response counters are carried as scalars (per-day deltas in
-// v2). Per-address sets for non-EUI responders are not persisted —
-// they feed no analysis — so UniqueAddrs on a loaded corpus reports
-// the persisted totals rather than recounting.
+// A segment is committed once its closing line is complete, newline
+// included; ReplayJournal, the one reader, returns the byte length up
+// to there, and whatever follows is a torn append to drop. The EUI-64
+// observation records are persisted exactly; the probe/response
+// counters are carried as scalars. Per-address sets for non-EUI
+// responders are not persisted — they feed no analysis — so
+// UniqueAddrs on a loaded corpus reports the persisted totals rather
+// than recounting.
 //
-// Loading is idempotent at day granularity: observations for a day the
-// corpus already contains are skipped, counters included (v2 ties the
-// counters to the day segment, so the skip is exact; v1's file-global
-// counters are applied only when the file contributes at least one new
-// day, which makes re-loading the same snapshot a no-op). That is what
-// lets a resumed ingester re-play its journal — or re-ingest a day file
-// it already consumed — without double-counting probes, responses, or
-// DayObs entries.
+// Loading is idempotent at day granularity: a segment whose days the
+// corpus already holds is skipped whole, counters included. That is
+// what lets a resumed ingester re-play its journal — or re-ingest a day
+// file it already consumed — without double-counting probes,
+// responses, or DayObs entries.
 
 const (
-	corpusMagic   = "# followscent corpus v1"
-	corpusMagicV2 = "# followscent corpus v2"
+	corpusMagic = "# followscent corpus v2"
 
 	// maxCorpusLine caps the loader's line buffer. A line this long is
 	// not a corpus file (the longest legal line is an obs record, well
@@ -48,39 +52,26 @@ const (
 	maxCorpusLine = 1 << 20
 )
 
-// Save writes the corpus in the v1 whole-corpus text format.
+// Save writes the whole corpus as a journal: the header line and one
+// snap segment. A store opened on the file replays it and appends later
+// days after it.
 func (c *Corpus) Save(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, corpusMagic)
-	fmt.Fprintf(bw, "probes %d\n", c.TotalProbes)
-	fmt.Fprintf(bw, "responses %d\n", c.TotalResponses)
-	fmt.Fprintf(bw, "uniqueaddrs %d %d\n", len(c.totalAddrs)+c.loadedTotalAddrs, len(c.euiAddrs)+c.loadedEUIAddrs)
-	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
-		}
+	if err := WriteCorpusJournalHeader(w); err != nil {
+		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("core: saving corpus: %w", err)
-	}
-	return nil
+	return c.SaveSnap(w)
 }
 
-// WriteCorpusJournalHeader starts a v2 journal: the header line every
-// SaveDay segment appends after.
+// WriteCorpusJournalHeader starts a journal: the header line every
+// segment appends after.
 func WriteCorpusJournalHeader(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, corpusMagicV2); err != nil {
+	if _, err := fmt.Fprintln(w, corpusMagic); err != nil {
 		return fmt.Errorf("core: writing journal header: %w", err)
 	}
 	return nil
 }
 
-// DaySegmentMeta carries the day-local counter deltas a v2 segment
+// DaySegmentMeta carries the day-local counter deltas a day segment
 // persists alongside its observations: probes sent and responses heard
 // that day, and how many previously-unseen unique (total, EUI-64)
 // response addresses the day introduced.
@@ -89,29 +80,16 @@ type DaySegmentMeta struct {
 	NewTotalAddrs, NewEUIAddrs int
 }
 
-// SaveDay appends one self-contained v2 journal segment: the given
-// day's counter deltas and every observation committed for that day.
-// The segment is closed by an `endday` marker — a torn tail (crash
+// SaveDay appends one self-contained day segment: the given day's
+// counter deltas and every observation committed for that day. The
+// segment is closed by an `endday` marker — a torn tail (crash
 // mid-append) is recognizable and discarded on load.
 func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "day %d\n", day)
-	fmt.Fprintf(bw, "probes %d\n", meta.Probes)
-	fmt.Fprintf(bw, "responses %d\n", meta.Responses)
-	fmt.Fprintf(bw, "newaddrs %d %d\n", meta.NewTotalAddrs, meta.NewEUIAddrs)
-	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			if d.Day != day {
-				continue
-			}
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
-		}
-	}
+	c.writeSegmentBodyLocked(bw, meta, func(d int) bool { return d == day })
 	fmt.Fprintf(bw, "endday %d\n", day)
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("core: saving day %d segment: %w", day, err)
@@ -119,7 +97,7 @@ func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
 	return nil
 }
 
-// SaveSnap writes the corpus's entire committed history as one v2 snap
+// SaveSnap writes the corpus's entire committed history as one snap
 // segment: the sorted day set, the accumulated counters, and every
 // observation, closed by an `endsnap` marker. A journal rewritten as
 // header + snap segment (Store.Compact) replays to exactly the corpus
@@ -136,28 +114,19 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	for d := range c.days {
 		days = append(days, d)
 	}
-	for i := 1; i < len(days); i++ {
-		for j := i; j > 0 && days[j] < days[j-1]; j-- {
-			days[j], days[j-1] = days[j-1], days[j]
-		}
-	}
+	sort.Ints(days)
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "snap")
 	for _, d := range days {
 		fmt.Fprintf(bw, " %d", d)
 	}
 	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "probes %d\n", c.TotalProbes)
-	fmt.Fprintf(bw, "responses %d\n", c.TotalResponses)
-	fmt.Fprintf(bw, "newaddrs %d %d\n", len(c.totalAddrs)+c.loadedTotalAddrs, len(c.euiAddrs)+c.loadedEUIAddrs)
-	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
-		}
-	}
+	c.writeSegmentBodyLocked(bw, DaySegmentMeta{
+		Probes:        c.TotalProbes,
+		Responses:     c.TotalResponses,
+		NewTotalAddrs: len(c.totalAddrs) + c.loadedTotalAddrs,
+		NewEUIAddrs:   len(c.euiAddrs) + c.loadedEUIAddrs,
+	}, func(int) bool { return true })
 	fmt.Fprintln(bw, "endsnap")
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("core: saving snap segment: %w", err)
@@ -165,31 +134,116 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	return nil
 }
 
-// LoadCorpus reads a corpus saved by Save (v1) or appended by SaveDay
-// segments (v2), re-deriving every index (prefix sets, AS attribution,
-// response spans) against the corpus's RIB. Loading into a non-empty
-// corpus is idempotent per day: observations (and, in v2, counters)
-// for days already present are skipped, so re-ingesting the same day
-// never double-counts. A v2 journal's trailing segment missing its
-// `endday` marker (a torn append) is silently discarded — the day was
-// never committed.
-func LoadCorpus(src io.Reader, c *Corpus) error {
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, maxCorpusLine), maxCorpusLine)
-	if !sc.Scan() {
-		if err := scanErr(sc, 1); err != nil {
-			return err
+// writeSegmentBodyLocked writes a segment's counter lines, then the obs
+// line of every observation on a day keep accepts, in IID order. The
+// caller holds c.mu.
+func (c *Corpus) writeSegmentBodyLocked(bw *bufio.Writer, m DaySegmentMeta, keep func(day int) bool) {
+	fmt.Fprintf(bw, "probes %d\nresponses %d\nnewaddrs %d %d\n", m.Probes, m.Responses, m.NewTotalAddrs, m.NewEUIAddrs)
+	for _, iid := range c.sortedIIDsLocked() {
+		rec := c.iids[iid]
+		for i := range rec.Days {
+			if d := &rec.Days[i]; keep(d.Day) {
+				fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
+					uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
+			}
 		}
-		return fmt.Errorf("core: empty corpus file")
 	}
-	switch magic := strings.TrimSpace(sc.Text()); magic {
-	case corpusMagic:
-		return loadV1(sc, c)
-	case corpusMagicV2:
-		return loadV2(sc, c)
-	default:
-		return fmt.Errorf("core: not a corpus file (got %q)", magic)
+}
+
+// LoadCorpus reads a corpus written by Save, or a journal of SaveDay
+// segments, into c, re-deriving every index (prefix sets, AS
+// attribution, response spans) against the corpus's RIB. It is
+// ReplayJournal for input that must be a corpus: one without a complete
+// header line is an error.
+func LoadCorpus(r io.Reader, c *Corpus) error {
+	n, err := ReplayJournal(r, c)
+	if err == nil && n == 0 {
+		return fmt.Errorf("core: empty corpus file (no complete header line)")
 	}
+	return err
+}
+
+// ReplayJournal loads every committed segment of the journal r into c
+// and returns the journal's committed length: the bytes up to and
+// including the last complete closing line, `endday N` or `endsnap`
+// with its newline. What follows is a torn append — a crash mid-write —
+// and is dropped; a store truncates its journal to the returned length
+// before appending. Empty input, or a torn header line (a prefix of
+// the header WriteCorpusJournalHeader writes), has committed length 0.
+//
+// A segment whose days the corpus already holds is skipped whole,
+// counters included, so replaying a journal (or re-appending a day) is
+// exactly idempotent. A snap segment's counters are indivisible, so one
+// that only partially overlaps the corpus is an error. Every complete
+// line is parsed strictly, committed or not: a malformed one is a
+// named error, never mistaken for a tear.
+func ReplayJournal(r io.Reader, c *Corpus) (int64, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), maxCorpusLine)
+	sc.Split(scanTerminatedLines)
+	var (
+		off, committed int64
+		seg            *segment
+		line           int
+	)
+	for sc.Scan() {
+		line++
+		raw := sc.Text()
+		if !strings.HasSuffix(raw, "\n") {
+			// The last line was torn mid-write: it commits nothing.
+			if line == 1 && !strings.HasPrefix(corpusMagic+"\n", raw) {
+				return 0, fmt.Errorf("core: not a corpus file (got %q)", raw)
+			}
+			break
+		}
+		off += int64(len(raw))
+		text := strings.TrimSpace(raw)
+		if line == 1 {
+			if text != corpusMagic {
+				return 0, fmt.Errorf("core: not a corpus file (got %q)", text)
+			}
+			committed = off
+			continue
+		}
+		if text == "" {
+			continue
+		}
+		fields := strings.Fields(text)
+		if seg == nil {
+			s, err := openSegment(c, fields, line)
+			if err != nil {
+				return 0, err
+			}
+			seg = s
+			continue
+		}
+		closed, err := seg.add(fields, line)
+		if err != nil {
+			return 0, err
+		}
+		if closed {
+			if !seg.skip {
+				c.addLoaded(seg.meta, seg.sds)
+			}
+			seg, committed = nil, off
+		}
+	}
+	if err := scanErr(sc, line+1); err != nil {
+		return 0, err
+	}
+	return committed, nil
+}
+
+// scanTerminatedLines is bufio.ScanLines keeping each line's newline, so
+// the reader can tell a complete line from a torn one and count bytes.
+func scanTerminatedLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // scanErr converts a scanner failure into a loader error, turning the
@@ -206,297 +260,140 @@ func scanErr(sc *bufio.Scanner, line int) error {
 	return fmt.Errorf("core: reading corpus: %w", err)
 }
 
-// existingDays snapshots which days the corpus already holds, the
-// skip-set for idempotent re-ingestion.
-func existingDays(c *Corpus) map[int]bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	have := make(map[int]bool, len(c.days))
-	for d := range c.days {
-		have[d] = true
-	}
-	return have
+// segment is one journal segment being read: a day segment (one day)
+// or a snap segment (a whole history), with one ScanDay per day it
+// carries.
+type segment struct {
+	snap bool
+	day  int // a day segment's day
+	meta DaySegmentMeta
+	sds  map[int]*ScanDay
+	skip bool // every day already present: applying it would double-count
 }
 
-// parseObs parses one `obs` line (shared between both formats).
-func parseObs(fields []string, line int) (day int, resp ip6.Addr, minHi, maxHi uint64, count int, err error) {
+// openSegment parses a segment header line, `day N` or `snap d1 d2 …`,
+// and checks its days against those c already holds.
+func openSegment(c *Corpus, fields []string, line int) (*segment, error) {
+	s := &segment{snap: fields[0] == "snap", sds: map[int]*ScanDay{}}
+	switch {
+	case fields[0] == "day" && len(fields) == 2:
+	case s.snap && len(fields) >= 2:
+	default:
+		return nil, fmt.Errorf("core: line %d: expected a day or snap header, got %q", line, strings.Join(fields, " "))
+	}
+	for _, f := range fields[1:] {
+		day, err := strconv.Atoi(f)
+		if err != nil || day < 0 {
+			return nil, fmt.Errorf("core: line %d: bad day %q", line, f)
+		}
+		if s.sds[day] != nil {
+			return nil, fmt.Errorf("core: line %d: day %d repeated", line, day)
+		}
+		s.day, s.sds[day] = day, c.NewScanDay(day)
+	}
+	present := 0
+	c.mu.RLock()
+	for day := range s.sds {
+		if _, ok := c.days[day]; ok {
+			present++
+		}
+	}
+	c.mu.RUnlock()
+	switch present {
+	case 0:
+	case len(s.sds):
+		s.skip = true
+	default:
+		return nil, fmt.Errorf("core: line %d: snap segment days %v partially overlap the corpus — counters are indivisible", line, fields[1:])
+	}
+	return s, nil
+}
+
+// add parses one line inside the segment and reports whether it was the
+// segment's closing line.
+func (s *segment) add(fields []string, line int) (closed bool, err error) {
+	switch fields[0] {
+	case "probes", "responses":
+		if len(fields) != 2 {
+			return false, fmt.Errorf("core: line %d: malformed %s", line, fields[0])
+		}
+		v, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return false, fmt.Errorf("core: line %d: %w", line, err)
+		}
+		if fields[0] == "probes" {
+			s.meta.Probes += v
+		} else {
+			s.meta.Responses += v
+		}
+	case "newaddrs":
+		if len(fields) != 3 {
+			return false, fmt.Errorf("core: line %d: malformed newaddrs", line)
+		}
+		total, err1 := strconv.Atoi(fields[1])
+		eui, err2 := strconv.Atoi(fields[2])
+		if err1 != nil || err2 != nil {
+			return false, fmt.Errorf("core: line %d: bad newaddrs", line)
+		}
+		s.meta.NewTotalAddrs += total
+		s.meta.NewEUIAddrs += eui
+	case "obs":
+		return false, s.addObs(fields, line)
+	case "endday":
+		if s.snap || len(fields) != 2 || fields[1] != strconv.Itoa(s.day) {
+			return false, fmt.Errorf("core: line %d: %q does not close this segment", line, strings.Join(fields, " "))
+		}
+		return true, nil
+	case "endsnap":
+		if !s.snap || len(fields) != 1 {
+			return false, fmt.Errorf("core: line %d: %q does not close this segment", line, strings.Join(fields, " "))
+		}
+		return true, nil
+	default:
+		return false, fmt.Errorf("core: line %d: unknown record %q", line, fields[0])
+	}
+	return false, nil
+}
+
+// addObs parses one `obs IID DAY RESP MINHI MAXHI COUNT` line into the
+// ScanDay of its day, which the segment must carry.
+func (s *segment) addObs(fields []string, line int) error {
 	if len(fields) != 7 {
-		return 0, ip6.Addr{}, 0, 0, 0, fmt.Errorf("core: line %d: malformed obs", line)
+		return fmt.Errorf("core: line %d: malformed obs", line)
 	}
-	day, err = strconv.Atoi(fields[2])
+	day, err := strconv.Atoi(fields[2])
 	if err != nil {
-		return 0, ip6.Addr{}, 0, 0, 0, fmt.Errorf("core: line %d: bad day: %w", line, err)
+		return fmt.Errorf("core: line %d: bad day: %w", line, err)
 	}
-	resp, err = ip6.ParseAddr(fields[3])
+	sd := s.sds[day]
+	if sd == nil {
+		return fmt.Errorf("core: line %d: obs for day %d outside its segment", line, day)
+	}
+	resp, err := ip6.ParseAddr(fields[3])
 	if err != nil {
-		return 0, ip6.Addr{}, 0, 0, 0, fmt.Errorf("core: line %d: %w", line, err)
+		return fmt.Errorf("core: line %d: %w", line, err)
 	}
 	minHi, err1 := strconv.ParseUint(fields[4], 16, 64)
 	maxHi, err2 := strconv.ParseUint(fields[5], 16, 64)
 	count, err3 := strconv.Atoi(fields[6])
 	if err1 != nil || err2 != nil || err3 != nil {
-		return 0, ip6.Addr{}, 0, 0, 0, fmt.Errorf("core: line %d: bad obs numbers", line)
+		return fmt.Errorf("core: line %d: bad obs numbers", line)
 	}
-	return day, resp, minHi, maxHi, count, nil
-}
-
-// loadV1 consumes the whole-corpus snapshot format. Days already in
-// the corpus are skipped; the file-global counter lines are deferred
-// and applied only if the file contributed at least one new day (or
-// carries no observations at all), which makes re-loading the same
-// snapshot a no-op.
-func loadV1(sc *bufio.Scanner, c *Corpus) error {
-	line := 1 // the magic line was consumed by LoadCorpus
-	have := existingDays(c)
-	var (
-		pending = map[int]*ScanDay{}
-		newDays bool
-		sawDay  bool
-		meta    DaySegmentMeta
-	)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "probes", "responses":
-			if len(fields) != 2 {
-				return fmt.Errorf("core: line %d: malformed %s", line, fields[0])
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("core: line %d: %w", line, err)
-			}
-			if fields[0] == "probes" {
-				meta.Probes += v
-			} else {
-				meta.Responses += v
-			}
-		case "uniqueaddrs":
-			if len(fields) != 3 {
-				return fmt.Errorf("core: line %d: malformed uniqueaddrs", line)
-			}
-			total, err1 := strconv.Atoi(fields[1])
-			eui, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("core: line %d: bad uniqueaddrs", line)
-			}
-			meta.NewTotalAddrs += total
-			meta.NewEUIAddrs += eui
-		case "obs":
-			day, resp, minHi, maxHi, count, err := parseObs(fields, line)
-			if err != nil {
-				return err
-			}
-			sawDay = true
-			if have[day] {
-				continue // idempotent re-ingestion: day already present
-			}
-			newDays = true
-			sd, ok := pending[day]
-			if !ok {
-				sd = c.NewScanDay(day)
-				pending[day] = sd
-			}
-			sd.insertLoaded(resp, minHi, maxHi, count)
-		default:
-			return fmt.Errorf("core: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := scanErr(sc, line+1); err != nil {
-		return err
-	}
-	if newDays || !sawDay {
-		sds := make([]*ScanDay, 0, len(pending))
-		for _, sd := range pending {
-			sds = append(sds, sd)
-		}
-		c.addLoaded(meta, sds...)
+	if !s.skip {
+		sd.insertLoaded(resp, minHi, maxHi, count)
 	}
 	return nil
 }
 
-// loadV2 consumes the journal format: a sequence of segments, each
-// committed when its closing marker arrives. Two segment kinds share
-// the grammar: `day N … endday N` carries one day, and `snap d1 d2 … /
-// … endsnap` — written by compaction — carries a whole corpus history
-// at once. A day segment for a day the corpus already holds is
-// discarded whole — counters included — so replaying a journal (or
-// re-appending a day) is exactly idempotent; a snap segment is skipped
-// only if *every* day it carries is present (its counters are
-// indivisible, so a partial overlap is an error). A trailing segment
-// with no closing marker is a torn append and is dropped.
-func loadV2(sc *bufio.Scanner, c *Corpus) error {
-	line := 1
-	have := existingDays(c)
-	type segment struct {
-		day  int   // day segment; -1 for a snap segment
-		days []int // snap: its sorted day set
-		meta DaySegmentMeta
-		sd   *ScanDay         // day segment's aggregation
-		sds  map[int]*ScanDay // snap segment's, keyed by day
-		skip bool             // snap: every day already present
-	}
-	var seg *segment
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		if seg == nil {
-			switch fields[0] {
-			case "day":
-				if len(fields) != 2 {
-					return fmt.Errorf("core: line %d: malformed day header", line)
-				}
-				day, err := strconv.Atoi(fields[1])
-				if err != nil {
-					return fmt.Errorf("core: line %d: bad day: %w", line, err)
-				}
-				seg = &segment{day: day, sd: c.NewScanDay(day)}
-			case "snap":
-				if len(fields) < 2 {
-					return fmt.Errorf("core: line %d: snap header without days", line)
-				}
-				s := &segment{day: -1, sds: map[int]*ScanDay{}}
-				present := 0
-				for _, f := range fields[1:] {
-					day, err := strconv.Atoi(f)
-					if err != nil {
-						return fmt.Errorf("core: line %d: bad snap day: %w", line, err)
-					}
-					s.days = append(s.days, day)
-					if have[day] {
-						present++
-					}
-				}
-				switch present {
-				case 0:
-				case len(s.days):
-					s.skip = true
-				default:
-					return fmt.Errorf("core: line %d: snap segment days %v partially overlap the corpus — counters are indivisible", line, s.days)
-				}
-				seg = s
-			default:
-				return fmt.Errorf("core: line %d: expected day or snap header, got %q", line, fields[0])
-			}
-			continue
-		}
-		switch fields[0] {
-		case "probes", "responses":
-			if len(fields) != 2 {
-				return fmt.Errorf("core: line %d: malformed %s", line, fields[0])
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return fmt.Errorf("core: line %d: %w", line, err)
-			}
-			if fields[0] == "probes" {
-				seg.meta.Probes += v
-			} else {
-				seg.meta.Responses += v
-			}
-		case "newaddrs":
-			if len(fields) != 3 {
-				return fmt.Errorf("core: line %d: malformed newaddrs", line)
-			}
-			total, err1 := strconv.Atoi(fields[1])
-			eui, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("core: line %d: bad newaddrs", line)
-			}
-			seg.meta.NewTotalAddrs += total
-			seg.meta.NewEUIAddrs += eui
-		case "obs":
-			day, resp, minHi, maxHi, count, err := parseObs(fields, line)
-			if err != nil {
-				return err
-			}
-			if seg.day >= 0 {
-				if day != seg.day {
-					return fmt.Errorf("core: line %d: obs for day %d inside day %d segment", line, day, seg.day)
-				}
-				seg.sd.insertLoaded(resp, minHi, maxHi, count)
-				break
-			}
-			if seg.skip {
-				break
-			}
-			sd, ok := seg.sds[day]
-			if !ok {
-				found := false
-				for _, d := range seg.days {
-					if d == day {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return fmt.Errorf("core: line %d: obs for day %d outside the snap segment's day set %v", line, day, seg.days)
-				}
-				sd = c.NewScanDay(day)
-				seg.sds[day] = sd
-			}
-			sd.insertLoaded(resp, minHi, maxHi, count)
-		case "endday":
-			if seg.day < 0 {
-				return fmt.Errorf("core: line %d: endday inside a snap segment", line)
-			}
-			if len(fields) != 2 || fields[1] != strconv.Itoa(seg.day) {
-				return fmt.Errorf("core: line %d: endday does not close day %d", line, seg.day)
-			}
-			if !have[seg.day] {
-				c.addLoaded(seg.meta, seg.sd)
-				have[seg.day] = true
-			}
-			seg = nil
-		case "endsnap":
-			if seg.day >= 0 {
-				return fmt.Errorf("core: line %d: endsnap inside a day %d segment", line, seg.day)
-			}
-			if !seg.skip {
-				// A day with no observations still counts as committed —
-				// an all-silent scan day is corpus history too.
-				sds := make([]*ScanDay, 0, len(seg.days))
-				for _, d := range seg.days {
-					sd, ok := seg.sds[d]
-					if !ok {
-						sd = c.NewScanDay(d)
-					}
-					sds = append(sds, sd)
-					have[d] = true
-				}
-				c.addLoaded(seg.meta, sds...)
-			}
-			seg = nil
-		default:
-			return fmt.Errorf("core: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := scanErr(sc, line+1); err != nil {
-		return err
-	}
-	// seg != nil here means a torn trailing segment: dropped, per the
-	// journal contract — the day was never durably committed.
-	return nil
-}
-
-// addLoaded commits days read from a corpus file, in day order for a
-// deterministic chronology, and applies the file's counters, all under
-// one lock. The days' responders stay out of the live address sets: the
-// file carries no per-address sets, so its counts are carried instead.
-func (c *Corpus) addLoaded(m DaySegmentMeta, days ...*ScanDay) {
-	sort.Slice(days, func(i, j int) bool { return days[i].day < days[j].day })
+// addLoaded commits a segment's days, in day order for a deterministic
+// chronology, and applies its counters, all under one lock. The days'
+// responders stay out of the live address sets: the file carries no
+// per-address sets, so its counts are carried instead.
+func (c *Corpus) addLoaded(m DaySegmentMeta, days map[int]*ScanDay) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, sd := range days {
-		sd.mergeLocked()
+	for _, d := range slices.Sorted(maps.Keys(days)) {
+		days[d].mergeLocked()
 	}
 	c.TotalProbes += m.Probes
 	c.TotalResponses += m.Responses

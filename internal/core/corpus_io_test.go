@@ -41,8 +41,8 @@ func ingestFixtureDay(c *core.Corpus, day, n int) {
 }
 
 // corpusFingerprint condenses everything persistence must preserve:
-// counters, day set, and the full v1 serialization (which walks every
-// DayObs of every record in sorted order).
+// counters, day set, and every DayObs of every record in sorted order —
+// the bytes Save writes.
 func corpusFingerprint(t *testing.T, c *core.Corpus) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -53,25 +53,51 @@ func corpusFingerprint(t *testing.T, c *core.Corpus) string {
 }
 
 // TestLoadCorpusReloadIdempotent is the resumable-ingestion regression:
-// re-loading the same v1 snapshot into an already-loaded corpus must
-// change nothing — no doubled probe/response counters, no duplicated
-// DayObs entries.
+// a Save → LoadCorpus round trip keeps every committed day and counter,
+// and re-loading the same file into an already-loaded corpus changes
+// nothing — no doubled probe/response counters, no duplicated DayObs
+// entries. The fixture includes a day whose only responder is not
+// EUI-64 and an all-silent day: both carry no obs line, and both are
+// still committed corpus history.
 func TestLoadCorpusReloadIdempotent(t *testing.T) {
 	src := core.NewCorpus(ioFixtureRIB())
 	for day := 0; day < 3; day++ {
 		ingestFixtureDay(src, day, 5)
 	}
+	nonEUI := src.NewScanDay(3)
+	nonEUI.Record(fixtureAddr(0, 3), ip6.MustParseAddr("2001:16b8:103::1"))
+	nonEUI.AddProbes(4)
+	nonEUI.Commit()
+	silent := src.NewScanDay(4)
+	silent.AddProbes(7)
+	silent.Commit()
 	var file bytes.Buffer
 	if err := src.Save(&file); err != nil {
 		t.Fatal(err)
 	}
+	type summary struct {
+		days                 []int
+		probes, responses    uint64
+		totalAddrs, euiAddrs int
+	}
+	sum := func(c *core.Corpus) summary {
+		p, r := c.Totals()
+		ta, ea := c.UniqueAddrs()
+		return summary{c.Days(), p, r, ta, ea}
+	}
+	wantSum := sum(src)
 
 	dst := core.NewCorpus(ioFixtureRIB())
 	if err := core.LoadCorpus(bytes.NewReader(file.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
+	if got := sum(dst); fmt.Sprint(got) != fmt.Sprint(wantSum) {
+		t.Errorf("Save → LoadCorpus round trip: got %+v, want %+v", got, wantSum)
+	}
 	want := corpusFingerprint(t, dst)
-	probes, responses := dst.Totals()
+	if want != file.String() {
+		t.Errorf("Save of the loaded corpus differs from the file it loaded:\n%s\nvs\n%s", want, file.String())
+	}
 
 	if err := core.LoadCorpus(bytes.NewReader(file.Bytes()), dst); err != nil {
 		t.Fatal(err)
@@ -79,9 +105,8 @@ func TestLoadCorpusReloadIdempotent(t *testing.T) {
 	if got := corpusFingerprint(t, dst); got != want {
 		t.Errorf("re-loading the same corpus changed it:\nfirst load:\n%s\nafter reload:\n%s", want, got)
 	}
-	p2, r2 := dst.Totals()
-	if p2 != probes || r2 != responses {
-		t.Errorf("re-load double-counted: probes %d -> %d, responses %d -> %d", probes, p2, responses, r2)
+	if got := sum(dst); fmt.Sprint(got) != fmt.Sprint(wantSum) {
+		t.Errorf("re-load double-counted: got %+v, want %+v", got, wantSum)
 	}
 	if rec, ok := dst.Lookup(core.IID(fixtureAddr(0, 0).IID())); ok {
 		seen := map[int]int{}
@@ -150,10 +175,12 @@ func TestLoadCorpusPartialOverlapAddsOnlyNewDays(t *testing.T) {
 // generic bufio error.
 func TestLoadCorpusLineTooLong(t *testing.T) {
 	var file bytes.Buffer
-	file.WriteString("# followscent corpus v1\n")
-	file.WriteString("probes 1\n")
+	if err := core.WriteCorpusJournalHeader(&file); err != nil {
+		t.Fatal(err)
+	}
+	file.WriteString("day 0\n")
 	file.WriteString(strings.Repeat("x", 2<<20)) // one 2 MiB line, over the 1 MiB cap
-	file.WriteString("\n")
+	file.WriteString("\nendday 0\n")
 	err := core.LoadCorpus(bytes.NewReader(file.Bytes()), core.NewCorpus(ioFixtureRIB()))
 	if err == nil {
 		t.Fatal("oversized line loaded without error")
@@ -166,8 +193,8 @@ func TestLoadCorpusLineTooLong(t *testing.T) {
 	}
 }
 
-// TestJournalRoundTripEqualsBatch proves the v2 journal reconstructs
-// the identical corpus the v1 snapshot does.
+// TestJournalRoundTripEqualsBatch proves a day-by-day journal
+// reconstructs the identical corpus the live ingestion built.
 func TestJournalRoundTripEqualsBatch(t *testing.T) {
 	src := core.NewCorpus(ioFixtureRIB())
 	var journal bytes.Buffer
@@ -256,4 +283,76 @@ func TestSnapshotIsolatedFromIngestion(t *testing.T) {
 	if len(census) != 1 || census[0].Devices != 4 {
 		t.Errorf("census = %+v, want one OUI with 4 devices", census)
 	}
+}
+
+// FuzzLoadCorpus feeds arbitrary bytes to the corpus loader. It never
+// panics; whatever it accepts is a fixed point after one Save (Save of
+// the loaded corpus loads back to identical Save bytes); and the
+// committed prefix ReplayJournal reports loads to the same corpus as the
+// whole input, so what a store truncates away was never corpus history.
+// The seeds are a Save file, a day-by-day journal, one compacted after
+// two days and then appended to, and one whose days arrive out of order.
+func FuzzLoadCorpus(f *testing.F) {
+	// journal commits the given days in order into a fresh corpus, one
+	// SaveDay segment each, compacting before day compactAt.
+	journal := func(compactAt int, days ...int) (*core.Corpus, []byte) {
+		c := core.NewCorpus(ioFixtureRIB())
+		var buf bytes.Buffer
+		core.WriteCorpusJournalHeader(&buf)
+		for _, day := range days {
+			if day == compactAt {
+				buf.Reset()
+				core.WriteCorpusJournalHeader(&buf)
+				c.SaveSnap(&buf)
+			}
+			sd := c.NewScanDay(day)
+			for d := 0; d < 3; d++ {
+				a := fixtureAddr(d, (d+day)%5)
+				sd.Record(a, a)
+			}
+			sd.Record(fixtureAddr(0, day), ip6.MustParseAddr("2001:16b8:100::1"))
+			sd.AddProbes(8)
+			sd.Commit()
+			c.SaveDay(&buf, day, sd.Meta())
+		}
+		return c, buf.Bytes()
+	}
+	src, days := journal(-1, 0, 1, 2, 3)
+	_, compacted := journal(2, 0, 1, 2, 3)
+	_, shuffled := journal(-1, 2, 0, 3, 1)
+	var saved bytes.Buffer
+	src.Save(&saved)
+	for _, seed := range [][]byte{saved.Bytes(), days, compacted, shuffled} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)-7]) // a torn tail
+	}
+	save := func(t *testing.T, c *core.Corpus) []byte {
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := core.NewCorpus(ioFixtureRIB())
+		n, err := core.ReplayJournal(bytes.NewReader(data), c)
+		if err != nil || n == 0 {
+			return
+		}
+		once := save(t, c)
+		again := core.NewCorpus(ioFixtureRIB())
+		if err := core.LoadCorpus(bytes.NewReader(once), again); err != nil {
+			t.Fatalf("Save output of an accepted input does not load: %v\n%s", err, once)
+		}
+		if twice := save(t, again); !bytes.Equal(once, twice) {
+			t.Fatalf("Save(load(Save(load(x)))) differs:\n%s\nvs\n%s", once, twice)
+		}
+		prefix := core.NewCorpus(ioFixtureRIB())
+		if err := core.LoadCorpus(bytes.NewReader(data[:n]), prefix); err != nil {
+			t.Fatalf("committed prefix of %d bytes does not load: %v", n, err)
+		}
+		if p := save(t, prefix); !bytes.Equal(p, once) {
+			t.Fatalf("committed prefix loads to\n%s\nthe whole input to\n%s", p, once)
+		}
+	})
 }

@@ -114,18 +114,32 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadCorpusErrors feeds the loader malformed input. Every
+// malformed line sits inside a closed segment after a valid header, and
+// each case must fail with its own named error, not the header check.
 func TestLoadCorpusErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"no magic":   "obs 0 0 :: 0 0 1\n",
-		"empty":      "",
-		"bad record": "# followscent corpus v1\nwhatever 1 2\n",
-		"bad probes": "# followscent corpus v1\nprobes many\n",
-		"bad obs":    "# followscent corpus v1\nobs xyz\n",
-		"bad addr":   "# followscent corpus v1\nobs 0011223344556677 0 nonsense 0 0 1\n",
+	const hdr = "# followscent corpus v2\n"
+	for name, tc := range map[string]struct{ in, want string }{
+		"no magic":      {"obs 0 0 :: 0 0 1\n", "not a corpus file"},
+		"v1 magic":      {"# followscent corpus v1\nprobes 0\n", "not a corpus file"},
+		"empty":         {"", "empty corpus file"},
+		"bad record":    {hdr + "day 0\nwhatever 1 2\nendday 0\n", `line 3: unknown record "whatever"`},
+		"bad probes":    {hdr + "day 0\nprobes many\nendday 0\n", "line 3: strconv.ParseUint"},
+		"bad obs":       {hdr + "day 0\nobs xyz\nendday 0\n", "line 3: malformed obs"},
+		"bad addr":      {hdr + "day 0\nobs 0011223344556677 0 nonsense 0 0 1\nendday 0\n", "line 3: "},
+		"obs off day":   {hdr + "day 0\nobs 0011223344556677 1 2001:db8::1 0 0 1\nendday 0\n", "line 3: obs for day 1 outside its segment"},
+		"negative day":  {hdr + "day -1\nendday -1\n", `line 2: bad day "-1"`},
+		"repeated day":  {hdr + "snap 0 0\nendsnap\n", "line 2: day 0 repeated"},
+		"wrong endday":  {hdr + "day 1\nendday 2\n", `line 3: "endday 2" does not close this segment`},
+		"endsnap+":      {hdr + "snap 0\nendsnap 0\n", `line 3: "endsnap 0" does not close this segment`},
+		"stray closing": {hdr + "endday 0\n", "line 2: expected a day or snap header"},
 	} {
 		c := core.NewCorpus(bgp.New())
-		if err := core.LoadCorpus(strings.NewReader(in), c); err == nil {
+		err := core.LoadCorpus(strings.NewReader(tc.in), c)
+		if err == nil {
 			t.Errorf("%s: load succeeded", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", name, err, tc.want)
 		}
 	}
 }

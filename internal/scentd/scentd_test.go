@@ -308,17 +308,94 @@ func TestStoreMisuse(t *testing.T) {
 		t.Errorf("snapshot days = %v, want [0]", got)
 	}
 
-	// A v1 snapshot file is a corpus, but not an appendable journal.
+	// A file in the retired v1 corpus format is not a journal.
 	v1 := filepath.Join(dir, "v1.corpus")
-	var buf bytes.Buffer
-	if err := batchCorpusThrough(1, 4).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(v1, []byte("# followscent corpus v1\nprobes 4\nresponses 2\nuniqueaddrs 1 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := scentd.OpenStore(v1, fixtureRIB()); err == nil {
-		t.Error("OpenStore accepted a v1 snapshot file")
+		t.Error("OpenStore accepted a v1 corpus file")
+	}
+
+	// Save output is a journal: it opens as a store, replays to the
+	// same Save bytes, and takes the next day.
+	saved := filepath.Join(dir, "saved.corpus")
+	if err := os.WriteFile(saved, corpusBytes(t, batchCorpusThrough(2, 4)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sst, err := scentd.OpenStore(saved, fixtureRIB())
+	if err != nil {
+		t.Fatalf("OpenStore on Save output: %v", err)
+	}
+	if got, want := corpusBytes(t, sst.Corpus()), corpusBytes(t, batchCorpusThrough(2, 4)); !bytes.Equal(got, want) {
+		t.Errorf("store over Save output replays to\n%s\nwant\n%s", got, want)
+	}
+	ingestFixtureDay(t, sst, 2, 4)
+	sst.Close()
+	sst, err = scentd.OpenStore(saved, fixtureRIB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sst.Close()
+	if got, want := corpusBytes(t, sst.Corpus()), corpusBytes(t, batchCorpusThrough(3, 4)); !bytes.Equal(got, want) {
+		t.Errorf("day appended to Save output replays to\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestStoreOpensEveryTornPrefix cuts a 12-day journal (so `endday` has
+// two digits) at every byte offset, as a crash mid-append can. Every
+// cut opens as a store holding exactly the days [0, k) whose segments
+// are complete, with the reference corpus's Save bytes, and takes one
+// more day that survives a reopen byte for byte.
+func TestStoreOpensEveryTornPrefix(t *testing.T) {
+	const days, devices = 12, 1
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.journal")
+	st, err := scentd.OpenStore(full, fixtureRIB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < days; day++ {
+		ingestFixtureDay(t, st, day, devices)
+	}
+	st.Close()
+	journal, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, days+1)
+	for k := range want {
+		want[k] = corpusBytes(t, batchCorpusThrough(k, devices))
+	}
+	path := filepath.Join(dir, "cut.journal")
+	for cut := 0; cut <= len(journal); cut++ {
+		if err := os.WriteFile(path, journal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := scentd.OpenStore(path, fixtureRIB())
+		if err != nil {
+			t.Fatalf("cut %d of %d: OpenStore: %v", cut, len(journal), err)
+		}
+		got := st.Corpus().Days()
+		k := len(got)
+		for i, d := range got {
+			if d != i {
+				t.Fatalf("cut %d: days %v are not a prefix [0, k)", cut, got)
+			}
+		}
+		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, want[k]) {
+			t.Fatalf("cut %d: %d-day store saves\n%s\nwant\n%s", cut, k, b, want[k])
+		}
+		ingestFixtureDay(t, st, k, devices)
+		before := corpusBytes(t, st.Corpus())
+		st.Close()
+		if st, err = scentd.OpenStore(path, fixtureRIB()); err != nil {
+			t.Fatalf("cut %d: reopening after day %d: %v", cut, k, err)
+		}
+		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, before) {
+			t.Fatalf("cut %d: day %d did not survive a reopen:\n%s\nwant\n%s", cut, k, b, before)
+		}
+		st.Close()
 	}
 }
 

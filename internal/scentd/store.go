@@ -1,7 +1,7 @@
 // Package scentd is the serving layer: it turns the batch measurement
 // library into continuously-operated tracking infrastructure. A Store
 // ingests scan observations day by day into a core.Corpus, journals
-// every committed day to an append-only v2 corpus file, and publishes
+// every committed day to an append-only corpus journal, and publishes
 // an immutable core.Snapshot at each commit boundary; a Server answers
 // concurrent client queries against whichever snapshot is current.
 //
@@ -15,11 +15,9 @@
 package scentd
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -63,75 +61,28 @@ func OpenStore(path string, rib *bgp.Table) (*Store, error) {
 	return st, nil
 }
 
-// replay loads the journal into the corpus and truncates any torn tail.
+// replay loads the journal's committed segments into the corpus and
+// truncates whatever follows them, a torn append, so the next append
+// starts on a clean boundary. A journal with nothing committed, not
+// even a complete header line, starts over with a fresh header.
 func (s *Store) replay() error {
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("scentd: store: %w", err)
-	}
-	if info.Size() == 0 {
-		if err := core.WriteCorpusJournalHeader(s.f); err != nil {
-			return fmt.Errorf("scentd: %s: %w", s.path, err)
-		}
-		return s.f.Sync()
-	}
-	good, err := completeJournalLen(s.f)
+	good, err := core.ReplayJournal(s.f, s.c)
 	if err != nil {
 		return fmt.Errorf("scentd: %s: %w", s.path, err)
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("scentd: store: %w", err)
-	}
-	if err := core.LoadCorpus(io.LimitReader(s.f, good), s.c); err != nil {
-		return fmt.Errorf("scentd: %s: %w", s.path, err)
-	}
-	if good < info.Size() {
-		if err := s.f.Truncate(good); err != nil {
-			return fmt.Errorf("scentd: truncating torn tail of %s: %w", s.path, err)
-		}
+	if err := s.f.Truncate(good); err != nil {
+		return fmt.Errorf("scentd: truncating torn tail of %s: %w", s.path, err)
 	}
 	if _, err := s.f.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("scentd: store: %w", err)
 	}
-	return nil
-}
-
-// completeJournalLen scans the journal and returns the byte length of
-// its longest well-formed prefix: the header plus every segment closed
-// by an `endday` (or, after compaction, `endsnap`) marker. It also
-// rejects non-journal files early (a v1
-// snapshot is a valid corpus but not appendable — the caller would
-// corrupt it).
-func completeJournalLen(f *os.File) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
+	if good > 0 {
+		return nil
 	}
-	r := bufio.NewReader(f)
-	var off, good int64
-	first := true
-	for {
-		line, err := r.ReadString('\n')
-		if err == io.EOF && line == "" {
-			return good, nil
-		}
-		if err != nil && err != io.EOF {
-			return 0, err
-		}
-		off += int64(len(line))
-		text := strings.TrimSpace(line)
-		if first {
-			if text != "# followscent corpus v2" {
-				return 0, fmt.Errorf("not an appendable v2 journal (found %q; convert v1 snapshots by re-ingesting)", text)
-			}
-			first = false
-			good = off
-		} else if strings.HasPrefix(text, "endday ") || text == "endsnap" {
-			good = off
-		}
-		if err == io.EOF {
-			return good, nil
-		}
+	if err := core.WriteCorpusJournalHeader(s.f); err != nil {
+		return fmt.Errorf("scentd: %s: %w", s.path, err)
 	}
+	return s.f.Sync()
 }
 
 // Snapshot returns the currently published snapshot: the corpus as of

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // MaxFrame caps a single message. Far above any legal request and
@@ -74,12 +75,14 @@ func ReadFrame(r io.Reader, v any) error {
 // runs on its own goroutine; returning nil means a clean close.
 type Handler func(ctx context.Context, conn net.Conn) error
 
-// Serve accepts and handles connections until ctx is cancelled (the
-// listener is closed to unblock Accept). Each connection gets its own
-// goroutine running h; Serve returns after every handler has drained.
-// A non-nil handler error is reported to logf (when set) rather than
-// tearing down the server — one misbehaving client must not take the
-// service with it.
+// Serve accepts and handles connections until ctx is cancelled. Each
+// connection gets its own goroutine running h. On cancel the listener is
+// closed to unblock Accept and every open connection's read deadline is
+// set to now, so a handler waiting on an idle client returns; a reply
+// already being written completes. Serve returns after every handler
+// has drained. A non-nil handler error is reported to logf (when set)
+// rather than tearing down the server — one misbehaving client must not
+// take the service with it.
 func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format string, args ...any)) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -101,6 +104,7 @@ func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format str
 		go func() {
 			defer wg.Done()
 			defer conn.Close()
+			defer context.AfterFunc(ctx, func() { conn.SetReadDeadline(time.Now()) })()
 			if err := h(ctx, conn); err != nil && logf != nil {
 				logf("conn %s: %v", conn.RemoteAddr(), err)
 			}
@@ -110,24 +114,22 @@ func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format str
 
 // Handle turns a pure request → response function into a Handler: read
 // one frame into a fresh Req, write answer's Resp, repeat. A clean EOF,
-// or ctx ending after a reply went out, is a clean close (nil). A bad
-// frame returns its wire: error, so Serve logs it and closes only that
-// connection.
+// or any read ending after ctx did, is a clean close (nil): a request
+// read after cancel gets no answer. A bad frame returns its wire: error,
+// so Serve logs it and closes only that connection.
 func Handle[Req, Resp any](answer func(ctx context.Context, req Req) Resp) Handler {
 	return func(ctx context.Context, conn net.Conn) error {
 		for {
 			var req Req
-			if err := ReadFrame(conn, &req); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
+			err := ReadFrame(conn, &req)
+			if errors.Is(err, io.EOF) || ctx.Err() != nil {
+				return nil
+			}
+			if err != nil {
 				return err
 			}
 			if err := WriteFrame(conn, answer(ctx, req)); err != nil {
 				return err
-			}
-			if ctx.Err() != nil {
-				return nil
 			}
 		}
 	}
