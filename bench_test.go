@@ -106,13 +106,21 @@ func BenchmarkTable1_RotatingPrefixDiscovery(b *testing.B) {
 
 // BenchmarkTable1_Workers pins the worker count, quantifying the
 // parallel engine's scaling against the one-worker baseline. Each count
-// runs once, however many CPUs the box has.
+// runs once, however many CPUs the box has, and all must discover the
+// same number of rotating /48s.
 func BenchmarkTable1_Workers(b *testing.B) {
 	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	slices.Sort(counts)
+	want, wantWorkers := -1, 0
 	for _, workers := range slices.Compact(counts) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchTable1(b, workers, false)
+			got := benchTable1(b, workers, false)
+			if want < 0 {
+				want, wantWorkers = got, workers
+			}
+			if got != want {
+				b.Fatalf("workers=%d found %d rotating /48s, workers=%d found %d", workers, got, wantWorkers, want)
+			}
 		})
 	}
 }
@@ -127,20 +135,27 @@ func BenchmarkTable1_WithCheckpointing(b *testing.B) {
 	benchTable1(b, 0, true)
 }
 
-func benchTable1(b *testing.B, workers int, checkpointing bool) {
-	env := experiments.NewSmallEnv(103)
-	env.Scanner.Config.Workers = workers
-	if checkpointing {
-		env.Scanner.Config.Progress = zmap.NewProgress()
-		env.Scanner.Config.Failure = zmap.QuarantineWorker{}
-	}
+// benchTable1 times the Table 1 discovery and returns the number of
+// rotating /48s it found. Every iteration runs the same pass — one salt,
+// on a fresh world (built off the clock), since a pass advances the
+// world's virtual clock and spends its rate-limit tokens — so the count
+// and the work timed do not depend on b.N.
+func benchTable1(b *testing.B, workers int, checkpointing bool) int {
 	seeds := []ip6.Prefix{
 		ip6.MustParsePrefix("2001:db8:10::/48"),
 		ip6.MustParsePrefix("2001:db9:30::/48"),
 	}
-	b.ResetTimer()
+	found := -1
 	for i := 0; i < b.N; i++ {
-		s := &experiments.Study{Env: env, Cfg: experiments.StudyConfig{ProbesPer48: 16, Salt: uint64(i) + 1}}
+		b.StopTimer()
+		env := experiments.NewSmallEnv(103)
+		env.Scanner.Config.Workers = workers
+		if checkpointing {
+			env.Scanner.Config.Progress = zmap.NewProgress()
+			env.Scanner.Config.Failure = zmap.QuarantineWorker{}
+		}
+		b.StartTimer()
+		s := &experiments.Study{Env: env, Cfg: experiments.StudyConfig{ProbesPer48: 16, Salt: 1}}
 		s.SeedEUI48s = seeds
 		if err := s.RunDiscovery(context.Background()); err != nil {
 			b.Fatal(err)
@@ -149,8 +164,14 @@ func benchTable1(b *testing.B, workers int, checkpointing bool) {
 		if err := s.Table1Render(5, &buf); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(s.Discovery.Rotating48s)), "rotating48s")
+		if n := len(s.Discovery.Rotating48s); found < 0 {
+			found = n
+		} else if n != found {
+			b.Fatalf("iteration %d found %d rotating /48s, the first found %d", i, n, found)
+		}
 	}
+	b.ReportMetric(float64(found), "rotating48s")
+	return found
 }
 
 func BenchmarkPipeline_StageCounts(b *testing.B) {

@@ -72,7 +72,7 @@ func envFor(w *simnet.World, seed uint64) *Env {
 		World: w,
 		Scanner: &zmap.Scanner{
 			NewTransport: func() (zmap.Transport, error) {
-				return zmap.NewLoopback(w, 0), nil
+				return zmap.NewLoopback(w.NewLane(), 0), nil
 			},
 			Config: zmap.Config{Source: Vantage, Seed: seed ^ 0x5ce47},
 		},

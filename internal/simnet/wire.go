@@ -44,7 +44,14 @@ import (
 //
 // The echo identifier/sequence (or UDP/TCP ports) salt the
 // loss/response determinism so retransmissions are independent trials.
+//
+// HandlePacket counts into lane 0; see NewLane for concurrent callers.
 func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
+	return w.handlePacket(&w.lanes[0], req, buf)
+}
+
+// handlePacket is HandlePacket counting into lane c.
+func (w *World) handlePacket(c *statLane, req []byte, buf []byte) ([]byte, bool) {
 	// Dispatch on the raw next-header byte before any parsing: the
 	// ICMPv6 branch is the simulator hot path, and Packet.Unmarshal
 	// below parses the full header exactly once.
@@ -65,7 +72,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 			}
 			salt := uint64(id)<<16 | uint64(seq)
 			var resp Response
-			if !w.queryCounted(&resp, modalityEcho, p.Header.Dst, int(p.Header.HopLimit), salt) {
+			if !w.queryCounted(c, &resp, modalityEcho, p.Header.Dst, int(p.Header.HopLimit), salt) {
 				return buf, false
 			}
 			if resp.Echo {
@@ -74,12 +81,12 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 			return icmp6.AppendError(buf, resp.Type, resp.Code, resp.From, p.Header.Src, req), true
 
 		case icmp6.TypeNeighborSolicitation:
-			return w.answerSolicitation(&p, buf)
+			return w.answerSolicitation(c, &p, buf)
 		}
 		return buf, false
 
 	case icmp6.ProtoHopByHop:
-		return w.answerMLDQuery(req, buf)
+		return w.answerMLDQuery(c, req, buf)
 
 	case icmp6.ProtoUDP:
 		var h icmp6.Header
@@ -100,7 +107,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 		}
 		salt := uint64(sport)<<16 | uint64(dport)
 		var resp Response
-		if !w.queryCounted(&resp, modalityUDP, h.Dst, int(h.HopLimit), salt) {
+		if !w.queryCounted(c, &resp, modalityUDP, h.Dst, int(h.HopLimit), salt) {
 			return buf, false
 		}
 		if resp.Echo {
@@ -135,7 +142,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 		}
 		salt := uint64(th.SrcPort)<<16 | uint64(th.DstPort)
 		var resp Response
-		if !w.queryCounted(&resp, modalityTCP, h.Dst, int(h.HopLimit), salt) {
+		if !w.queryCounted(c, &resp, modalityTCP, h.Dst, int(h.HopLimit), salt) {
 			return buf, false
 		}
 		if resp.Echo {
@@ -159,8 +166,8 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 // destination) are enforced, and because NDP is how the link functions
 // at all, Silent devices answer too: an edge that filters ICMPv6 Echo
 // still cannot opt out of neighbor resolution.
-func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
-	w.statProbes.Add(1)
+func (w *World) answerSolicitation(c *statLane, p *icmp6.Packet, buf []byte) ([]byte, bool) {
+	c.probes.Add(1)
 	if p.Header.HopLimit != icmp6.NDPHopLimit {
 		return buf, false
 	}
@@ -174,7 +181,7 @@ func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
 	if !w.neighbor(target) {
 		return buf, false
 	}
-	w.statResps.Add(1)
+	c.resps.Add(1)
 	return icmp6.AppendNeighborAdvertisement(buf, target, p.Header.Src, target,
 		icmp6.NAFlagSolicited|icmp6.NAFlagOverride), true
 }
@@ -191,8 +198,8 @@ func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
 // address (the simulated CPE's on-link identity, exactly as in the NS
 // path): one report names a full 128-bit address the prober never had
 // to guess.
-func (w *World) answerMLDQuery(req []byte, buf []byte) ([]byte, bool) {
-	w.statProbes.Add(1)
+func (w *World) answerMLDQuery(c *statLane, req []byte, buf []byte) ([]byte, bool) {
+	c.probes.Add(1)
 	var p icmp6.Packet
 	if err := p.UnmarshalMLD(req); err != nil {
 		return buf, false
@@ -222,7 +229,7 @@ func (w *World) answerMLDQuery(req []byte, buf []byte) ([]byte, bool) {
 	if !ok {
 		return buf, false
 	}
-	w.statResps.Add(1)
+	c.resps.Add(1)
 	return icmp6.AppendMLDv2Report(buf, wan, icmp6.AllMLDv2Routers,
 		[]ip6.Addr{ip6.SolicitedNode(wan)}), true
 }

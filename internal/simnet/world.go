@@ -17,6 +17,13 @@ import (
 // World is a built, probe-answerable simulated IPv6 Internet.
 // All methods are safe for concurrent use.
 type World struct {
+	// lanes are the probe/response counters, padded so that no lane's
+	// counters share a cache line with another lane's or with the
+	// read-hot fields below, wherever the World lands. Lane 0 counts
+	// HandlePacket and Query; NewLane deals out the others, so scan
+	// workers probing through a Lane each write only their own line.
+	lanes [statLanes]statLane
+
 	seed  uint64
 	clock *Clock
 
@@ -29,10 +36,6 @@ type World struct {
 	// scan workers hitting different devices never contend on one lock.
 	rate [rateStripes]rateStripe
 
-	// Counters on the probe hot path: updated lock-free.
-	statProbes atomic.Uint64
-	statResps  atomic.Uint64
-
 	// hBorder/hLoss are the constant prefixes of the border-response and
 	// loss mix chains (mix folds words left to right, so a fixed word
 	// prefix has a fixed intermediate state), precomputed at build time
@@ -42,6 +45,42 @@ type World struct {
 	// hLink seeds the per-datagram duplication/reordering fate of
 	// LinkFate (the wire-serving link effects).
 	hLink uint64
+
+	// lastLane is the round-robin cursor of NewLane.
+	lastLane atomic.Uint32
+}
+
+// statLanes is the number of counter lanes: lane 0 plus seven that
+// NewLane deals out round-robin.
+const statLanes = 8
+
+// statLane is one lane of World's probe/response counters. Two lines
+// wide: its 16 bytes of counters then stay a full line clear of the
+// next lane's however the World is aligned.
+type statLane struct {
+	probes, resps atomic.Uint64
+	_             [112]byte
+}
+
+// Lane is a Responder that answers exactly as its World's HandlePacket
+// does but counts into a lane of its own (see NewLane).
+type Lane struct {
+	w *World
+	c *statLane
+}
+
+// NewLane returns a Responder over w that counts into the next of the
+// world's counter lanes, round-robin, skipping lane 0. Give each scan
+// worker's transport its own, and concurrent workers never write a
+// shared cache line to count a probe. Stats sums every lane.
+func (w *World) NewLane() Lane {
+	n := w.lastLane.Add(1)
+	return Lane{w: w, c: &w.lanes[1+(n-1)%(statLanes-1)]}
+}
+
+// HandlePacket implements zmap.Responder; see World.HandlePacket.
+func (l Lane) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
+	return l.w.handlePacket(l.c, req, buf)
 }
 
 // rateStripes is the number of independent rate-limit lock stripes; a
@@ -592,9 +631,14 @@ func (w *World) ProviderByASN(asn uint32) (*Provider, bool) {
 	return nil, false
 }
 
-// Stats returns the total probes answered and responses generated.
+// Stats returns the total probes answered and responses generated,
+// summed over every counter lane.
 func (w *World) Stats() (probes, responses uint64) {
-	return w.statProbes.Load(), w.statResps.Load()
+	for i := range w.lanes {
+		probes += w.lanes[i].probes.Load()
+		responses += w.lanes[i].resps.Load()
+	}
+	return probes, responses
 }
 
 // CPEs returns the pool's devices (shared slice; do not modify).
@@ -901,19 +945,19 @@ type Response struct {
 // dropped (no route, filtering, silent device, loss, or rate limiting).
 func (w *World) Query(target ip6.Addr, hopLimit int, salt uint64) (Response, bool) {
 	var r Response
-	ok := w.queryCounted(&r, modalityEcho, target, hopLimit, salt)
+	ok := w.queryCounted(&w.lanes[0], &r, modalityEcho, target, hopLimit, salt)
 	return r, ok
 }
 
 // queryCounted is the accounting wrapper shared by Query and the wire
-// path: out-parameter form so the per-probe hot path moves one Response
-// instead of two.
-func (w *World) queryCounted(r *Response, m probeModality, target ip6.Addr, hopLimit int, salt uint64) bool {
-	w.statProbes.Add(1)
+// path, counting into lane c: out-parameter form so the per-probe hot
+// path moves one Response instead of two.
+func (w *World) queryCounted(c *statLane, r *Response, m probeModality, target ip6.Addr, hopLimit int, salt uint64) bool {
+	c.probes.Add(1)
 	if !w.query(r, m, target, hopLimit, salt) {
 		return false
 	}
-	w.statResps.Add(1)
+	c.resps.Add(1)
 	return true
 }
 

@@ -199,7 +199,7 @@ func scan(ctx context.Context, factory TransportFactory, shared bool, src Target
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel, stop: stop}
+	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel, stop: stop, tally: make([]workerTally, cfg.Workers)}
 	e.raw, _ = cfg.Module.(RawValidator)
 	switch p := cfg.Failure.(type) {
 	case nil, AbortAll:
@@ -268,13 +268,13 @@ func scan(ctx context.Context, factory TransportFactory, shared bool, src Target
 			recvWG.Add(1)
 			go func() {
 				defer recvWG.Done()
-				e.receiveBatch(w, bt)
+				e.receiveBatch(w, &e.tally[w], bt)
 			}()
 		}
 		sendWG.Add(1)
 		go func() {
 			defer sendWG.Done()
-			e.send(ctx, w, bt, ex)
+			e.send(ctx, w, &e.tally[w], bt, ex)
 		}()
 	}
 	sendWG.Wait()
@@ -309,13 +309,17 @@ func scan(ctx context.Context, factory TransportFactory, shared bool, src Target
 			err = &PartialError{Checkpoint: cp, WorkerErrs: e.qerrs}
 		}
 	}
-	return Stats{
-		Sent:     e.sent.Load(),
-		Received: e.received.Load(),
-		Matched:  e.matched.Load(),
-		Invalid:  e.invalid.Load(),
-		SendTime: sendTime,
-	}, err
+	// Every sender and receiver has exited, whichever way the scan
+	// ended, so the fold is exact.
+	st := Stats{SendTime: sendTime}
+	for i := range e.tally {
+		t := &e.tally[i]
+		st.Sent += t.sent.Load()
+		st.Received += t.received.Load()
+		st.Matched += t.matched.Load()
+		st.Invalid += t.invalid.Load()
+	}
+	return st, err
 }
 
 // engine is the shared state of one scan's worker pool.
@@ -332,11 +336,26 @@ type engine struct {
 	prog       *Progress     // per-worker high-water marks; may be nil
 	stop       *earlyStop    // ScanUntil's lowest find; nil in every other scan
 
-	sent, received, matched, invalid atomic.Uint64
+	tally []workerTally // one per worker; scan folds them into Stats
 
 	errMu sync.Mutex
 	err   error
 	qerrs map[int]error // quarantined workers' terminal errors
+}
+
+// workerTally is one worker's share of Stats. The per-probe path writes
+// only lines its own worker owns: the walk writes sent, the receive side
+// (a separate goroutine when Batch > 1) writes the rest, so the two
+// groups sit on different cache lines, and the struct spans three lines
+// so neighbouring workers' tallies never share one, however the slice is
+// aligned (DESIGN.md §2). The counters stay atomic so they can be read
+// while the scan runs.
+type workerTally struct {
+	sent atomic.Uint64
+	_    [56]byte
+	// received, matched, invalid: written by whoever delivers replies.
+	received, matched, invalid atomic.Uint64
+	_                          [104]byte
 }
 
 func (e *engine) setErr(err error) {
@@ -378,7 +397,7 @@ func (e *engine) quarantineWorker(w int, err error) {
 // ring, flushed when full and at pass end. Exactly one of the two is
 // non-nil. All probe knowledge lives in the module's Prober: the engine
 // only walks streams and moves bytes.
-func (e *engine) send(ctx context.Context, w int, bt BatchTransport, ex Exchanger) {
+func (e *engine) send(ctx context.Context, w int, t *workerTally, bt BatchTransport, ex Exchanger) {
 	cfg := &e.cfg
 	// Each worker paces at Rate/Workers, expressed as a stretched
 	// interval so the aggregate rate honours the cap exactly even when
@@ -457,18 +476,18 @@ func (e *engine) send(ctx context.Context, w int, bt BatchTransport, ex Exchange
 			if ex == nil {
 				ring.push(probe)
 				if ring.full() {
-					if err = e.flush(ctx, w, bt, ring, pc, attempt, consumed); err != nil {
+					if err = e.flush(ctx, w, t, bt, ring, pc, attempt, consumed); err != nil {
 						break pass
 					}
 				}
 				continue
 			}
 			resp, ok := ex.Exchange(probe, respBuf[:0])
-			e.sent.Add(1)
+			t.sent.Add(1)
 			if ok {
 				respBuf = resp
-				e.received.Add(1)
-				e.deliver(w, &pkt, resp, ord)
+				t.received.Add(1)
+				e.deliver(w, t, &pkt, resp, ord)
 			}
 			// Marked only now that the probe reached the transport: a
 			// checkpoint never claims unsent work (see flush).
@@ -478,7 +497,7 @@ func (e *engine) send(ctx context.Context, w int, bt BatchTransport, ex Exchange
 			pc.wait()
 		}
 		if err == nil && ring != nil {
-			err = e.flush(ctx, w, bt, ring, pc, attempt, consumed)
+			err = e.flush(ctx, w, t, bt, ring, pc, attempt, consumed)
 		}
 		closeStream(st)
 		switch {
@@ -538,14 +557,14 @@ func lanes(n, size int) [][]byte {
 // either resume-skipped or handed to the transport, so a checkpoint
 // never claims unsent work, and a batch that died part-way is re-probed
 // whole by a resume.
-func (e *engine) flush(ctx context.Context, w int, bt BatchTransport, ring *probeRing, pc *pacer, attempt int, consumed uint64) error {
+func (e *engine) flush(ctx context.Context, w int, t *workerTally, bt BatchTransport, ring *probeRing, pc *pacer, attempt int, consumed uint64) error {
 	n := ring.n
 	if n == 0 {
 		return nil
 	}
 	ring.n = 0
 	sent, err := e.sendBatchRetry(ctx, bt, ring.pkts[:n])
-	e.sent.Add(uint64(sent))
+	t.sent.Add(uint64(sent))
 	if err != nil {
 		return err
 	}
@@ -600,7 +619,7 @@ func (e *engine) sendBatchRetry(ctx context.Context, bt BatchTransport, pkts [][
 // receiveBatch drains worker w's transport in RecvBatch strides until
 // it is closed, validating each packet and handing results to the merge
 // stage.
-func (e *engine) receiveBatch(w int, bt BatchTransport) {
+func (e *engine) receiveBatch(w int, t *workerTally, bt BatchTransport) {
 	batch := e.cfg.Batch
 	// Simulated responses are bounded well under 2 KiB (the ICMPv6
 	// error path quotes at most 1224 bytes), so a stride's lanes are
@@ -615,8 +634,8 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 	for {
 		n, err := bt.RecvBatch(bufs, sizes)
 		for i := 0; i < n; i++ {
-			e.received.Add(1)
-			e.deliver(w, &pkt, bufs[i][:sizes[i]], noOrdinal)
+			t.received.Add(1)
+			e.deliver(w, t, &pkt, bufs[i][:sizes[i]], noOrdinal)
 		}
 		if err != nil {
 			if Transient(err) {
@@ -625,7 +644,7 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 			if err != io.EOF {
 				// Transport failure: surface through stats only; the
 				// sender side will also fail if it matters.
-				e.invalid.Add(1)
+				t.invalid.Add(1)
 			}
 			return
 		}
@@ -638,7 +657,7 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 // Packets carrying another upper-layer protocol (a TCP RST/ACK) go to
 // the module's optional RawValidator instead. ord is the eliciting
 // probe's rank where the caller holds it (see earlyStop).
-func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte, ord uint64) {
+func (e *engine) deliver(w int, t *workerTally, pkt *icmp6.Packet, b []byte, ord uint64) {
 	var res Result
 	ok := false
 	if err := pkt.Unmarshal(b); err == nil {
@@ -647,10 +666,10 @@ func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte, ord uint64) {
 		res, ok = e.raw.ValidateRaw(&e.cfg, b)
 	}
 	if !ok {
-		e.invalid.Add(1)
+		t.invalid.Add(1)
 		return
 	}
-	e.matched.Add(1)
+	t.matched.Add(1)
 	if e.stop != nil {
 		e.offer(res, ord)
 	} else if e.handler != nil {

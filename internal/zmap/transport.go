@@ -117,8 +117,11 @@ func (l *Loopback) Send(pkt []byte) error {
 }
 
 // Exchange implements Exchanger: the probe is answered synchronously
-// through the Responder without touching the queue, so concurrent scan
-// workers sharing one loopback never contend.
+// through the Responder without touching the queue. Whatever the
+// Responder writes per probe is shared by every worker on this loopback
+// (Scan with Workers > 1 shares one; a World counts each probe), so a
+// multi-worker scan wants one loopback per worker, each over its own
+// simnet.World.NewLane.
 func (l *Loopback) Exchange(pkt, buf []byte) ([]byte, bool) {
 	return l.responder.HandlePacket(pkt, buf)
 }
