@@ -131,7 +131,7 @@ func (c *Corpus) PrefixesPerIID() []int {
 	defer c.mu.RUnlock()
 	out := make([]int, 0, len(c.iids))
 	for _, iid := range c.sortedIIDsLocked() {
-		out = append(out, len(c.iids[iid].prefixes))
+		out = append(out, c.iids[iid].prefixCount)
 	}
 	return out
 }
@@ -154,19 +154,20 @@ func (c *Corpus) asnOfLocked(rec *IIDRecord, d *DayObs) uint32 {
 	return 0
 }
 
-// primaryASNLocked is the AS an IID was seen in on the most days.
+// primaryASNLocked is the AS an IID was seen in on the most days;
+// ties go to the lowest ASN.
 func (c *Corpus) primaryASNLocked(rec *IIDRecord) uint32 {
 	var best uint32
-	bestDays := -1
-	// Deterministic tie-break: lowest ASN wins.
-	asns := make([]uint32, 0, len(rec.ASDays))
-	for asn := range rec.ASDays {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
-		if n := len(rec.ASDays[asn]); n > bestDays {
-			best, bestDays = asn, n
+	bestDays := 0
+	for _, ad := range rec.asDays {
+		n := 0
+		for _, o := range rec.asDays {
+			if o.asn == ad.asn {
+				n++
+			}
+		}
+		if n > bestDays || n == bestDays && ad.asn < best {
+			best, bestDays = ad.asn, n
 		}
 	}
 	return best

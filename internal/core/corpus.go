@@ -35,30 +35,51 @@ type DayObs struct {
 }
 
 // IIDRecord accumulates everything the campaign learned about one EUI-64
-// interface identifier.
+// interface identifier. Its slices are append-only history that
+// snapshots share with the live corpus (see Corpus.Snapshot): once a
+// length is published, nothing below it is ever written again.
 type IIDRecord struct {
 	IID  IID
 	Days []DayObs // chronological; multiple entries per day possible
 	// MinRespHi/MaxRespHi bound the upper-64 bits of every response
 	// address ever seen for this IID — Algorithm 2's input.
 	MinRespHi, MaxRespHi uint64
-	// PrefixCount is the number of distinct /64 prefixes the IID was
+	// prefixCount is the number of distinct /64 prefixes the IID was
 	// observed in (Figure 8).
-	prefixes map[uint64]struct{}
-	// ASDays counts observation days per origin AS (§5.5 pathologies).
-	ASDays map[uint32]map[int]struct{}
+	prefixCount int
+	// asDays lists the distinct (origin AS, day) pairs the IID was
+	// observed in, in commit order (§5.5 pathologies).
+	asDays []asDay
+}
+
+type asDay struct {
+	asn uint32
+	day int
 }
 
 // PrefixCount returns the number of distinct /64s the IID appeared in.
-func (r *IIDRecord) PrefixCount() int { return len(r.prefixes) }
+func (r *IIDRecord) PrefixCount() int { return r.prefixCount }
 
 // ASNs returns the origin ASes the IID was observed in, sorted.
 func (r *IIDRecord) ASNs() []uint32 {
-	out := make([]uint32, 0, len(r.ASDays))
-	for asn := range r.ASDays {
-		out = append(out, asn)
+	out := make([]uint32, 0, len(r.asDays))
+	for _, ad := range r.asDays {
+		out = append(out, ad.asn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// daysByAS groups the record's observation days by origin AS, each
+// list sorted.
+func (r *IIDRecord) daysByAS() map[uint32][]int {
+	out := make(map[uint32][]int, 1)
+	for _, ad := range r.asDays {
+		out[ad.asn] = append(out[ad.asn], ad.day)
+	}
+	for _, days := range out {
+		slices.Sort(days)
+	}
 	return out
 }
 
@@ -186,6 +207,11 @@ func (s *ScanDay) Commit() {
 
 // mergeLocked appends the day's observations to their IID records and
 // marks the day present. The caller holds c.mu.
+//
+// Snapshots share each record's slices up to the length they saw, so
+// merging never writes below a record's current length: an in-order
+// day appends past it, and a day that lands before later ones copies
+// the history into a new backing array instead of shifting it in place.
 func (s *ScanDay) mergeLocked() {
 	c := s.c
 	c.days[s.day] = struct{}{}
@@ -202,39 +228,35 @@ func (s *ScanDay) mergeLocked() {
 	})
 	for _, k := range keys {
 		obs := s.agg[k]
+		hi := obs.Resp.High64()
 		rec, ok := c.iids[k.iid]
 		if !ok {
-			rec = &IIDRecord{
-				IID:       k.iid,
-				MinRespHi: obs.Resp.High64(),
-				MaxRespHi: obs.Resp.High64(),
-				prefixes:  make(map[uint64]struct{}),
-				ASDays:    make(map[uint32]map[int]struct{}),
-			}
+			rec = &IIDRecord{IID: k.iid, MinRespHi: hi, MaxRespHi: hi}
 			c.iids[k.iid] = rec
+		}
+		if !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp.High64() == hi }) {
+			rec.prefixCount++
 		}
 		// A day committed after a later one still lands in day order.
 		at := len(rec.Days)
 		for at > 0 && rec.Days[at-1].Day > s.day {
 			at--
 		}
-		rec.Days = slices.Insert(rec.Days, at, *obs)
-		hi := obs.Resp.High64()
+		if at == len(rec.Days) {
+			rec.Days = append(rec.Days, *obs)
+		} else {
+			rec.Days = slices.Concat(rec.Days[:at], []DayObs{*obs}, rec.Days[at:])
+		}
 		if hi < rec.MinRespHi {
 			rec.MinRespHi = hi
 		}
 		if hi > rec.MaxRespHi {
 			rec.MaxRespHi = hi
 		}
-		rec.prefixes[hi] = struct{}{}
-		asn := uint32(0)
-		if r, ok := c.rib.Lookup(obs.Resp); ok {
-			asn = r.ASN
+		ad := asDay{asn: c.OriginASN(obs.Resp), day: s.day}
+		if !slices.Contains(rec.asDays, ad) {
+			rec.asDays = append(rec.asDays, ad)
 		}
-		if rec.ASDays[asn] == nil {
-			rec.ASDays[asn] = make(map[int]struct{})
-		}
-		rec.ASDays[asn][s.day] = struct{}{}
 	}
 	s.agg = nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"followscent/internal/bgp"
@@ -255,18 +256,47 @@ func TestLoadCorpusTornTailDropped(t *testing.T) {
 	}
 }
 
+// derivedFingerprint condenses everything a snapshot answers from: the
+// Save bytes plus the views Save leaves out — per-record /64 counts and
+// AS sets, the per-AS inferences' inputs, the vendor census, and the
+// address index for every recorded responder. Safe to call from any
+// goroutine.
+func derivedFingerprint(snap *core.Snapshot) string {
+	c := snap.Corpus()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		return "save: " + err.Error()
+	}
+	fmt.Fprintf(&buf, "days %v\nprefixes %v\nmultias %+v\nintervals %+v\npools %+v\ncensus %+v\n",
+		snap.Days(), c.PrefixesPerIID(), c.MultiASIIDs(), c.IntervalSamples(), c.PoolSamples(),
+		snap.VendorCensus(ip6.Prefix{}))
+	for _, day := range snap.Days() {
+		fmt.Fprintf(&buf, "alloc %d %+v\n", day, c.AllocationSamples(day))
+	}
+	for _, iid := range c.IIDs() {
+		rec, _ := c.Lookup(iid)
+		fmt.Fprintf(&buf, "iid %016x /64s %d asns %v\n", uint64(iid), rec.PrefixCount(), rec.ASNs())
+		for _, d := range rec.Days {
+			got, ok := snap.Observed(d.Resp)
+			fmt.Fprintf(&buf, "observed %s %016x %v\n", d.Resp, uint64(got), ok)
+		}
+	}
+	return buf.String()
+}
+
 // TestSnapshotIsolatedFromIngestion: a snapshot must not see days
-// committed after it was taken.
+// committed after it was taken, in its Save bytes or in any view derived
+// from its records.
 func TestSnapshotIsolatedFromIngestion(t *testing.T) {
 	c := core.NewCorpus(ioFixtureRIB())
 	ingestFixtureDay(c, 0, 4)
 	snap := c.Snapshot()
-	want := corpusFingerprint(t, snap.Corpus())
+	want := derivedFingerprint(snap)
 
 	ingestFixtureDay(c, 1, 4)
 	ingestFixtureDay(c, 2, 4)
-	if got := corpusFingerprint(t, snap.Corpus()); got != want {
-		t.Error("snapshot changed after further ingestion")
+	if got := derivedFingerprint(snap); got != want {
+		t.Errorf("snapshot changed after further ingestion:\n%s\nvs\n%s", got, want)
 	}
 	if days := snap.Days(); len(days) != 1 || days[0] != 0 {
 		t.Errorf("snapshot days = %v, want [0]", days)
@@ -282,6 +312,111 @@ func TestSnapshotIsolatedFromIngestion(t *testing.T) {
 	census := snap.VendorCensus(ip6.Prefix{})
 	if len(census) != 1 || census[0].Devices != 4 {
 		t.Errorf("census = %+v, want one OUI with 4 devices", census)
+	}
+}
+
+// fenceRIB is ioFixtureRIB plus a second AS devices can migrate into.
+func fenceRIB() *bgp.Table {
+	rib := ioFixtureRIB()
+	rib.Insert(bgp.Route{Prefix: ip6.MustParsePrefix("2001:16b9::/32"), ASN: 3320, Country: "DE"})
+	return rib
+}
+
+// ingestFenceDay commits one day of a fixture built to reach every
+// record field: device 0 moves to the second AS from day 2 on, devices 0
+// and 2 answer from two /64s every day, device 4 shows up on odd days
+// only, device 5 only on days 1 and 4, and one responder is not EUI-64.
+func ingestFenceDay(c *core.Corpus, day int) {
+	addr := func(d, p int) ip6.Addr {
+		a := fixtureAddr(d, p)
+		if d == 0 && day >= 2 {
+			return ip6.MustParsePrefix(fmt.Sprintf("2001:16b9:%x::/64", p)).Addr().WithIID(a.IID())
+		}
+		return a
+	}
+	sd := c.NewScanDay(day)
+	for d := 0; d < 6; d++ {
+		if d == 4 && day%2 == 0 || d == 5 && day != 1 && day != 4 {
+			continue
+		}
+		a := addr(d, (d+day)%3)
+		sd.Record(a, a)
+		if d == 0 || d == 2 {
+			b := addr(d, 5)
+			sd.Record(b, b)
+		}
+	}
+	sd.Record(fixtureAddr(0, 6), ip6.MustParseAddr("2001:16b8:106::1"))
+	sd.AddProbes(16)
+	sd.Commit()
+}
+
+// TestSnapshotFenceOutOfOrderDay: a snapshot shares its records' history
+// with the live corpus, so committing a day below it (an insert into
+// every record's history) or after it (an append) while readers walk the
+// snapshot must leave every view it answers from equal to the batch
+// corpus over the days it captured.
+func TestSnapshotFenceOutOfOrderDay(t *testing.T) {
+	batch := func(days ...int) string {
+		c := core.NewCorpus(fenceRIB())
+		for _, day := range days {
+			ingestFenceDay(c, day)
+		}
+		return derivedFingerprint(c.Snapshot())
+	}
+	want := batch(0, 2, 3)
+	// Device 0's AS-day set counts each (AS, day) once, however many
+	// /64s it answered from that day.
+	if !strings.Contains(want, "DaysByAS:map[3320:[2 3] 8881:[0]]") {
+		t.Fatalf("fixture's AS migration is missing or miscounted:\n%s", want)
+	}
+
+	live := core.NewCorpus(fenceRIB())
+	for _, day := range []int{0, 2, 3} {
+		ingestFenceDay(live, day)
+	}
+	snap := live.Snapshot()
+	if got := derivedFingerprint(snap); got != want {
+		t.Fatalf("snapshot differs from the batch corpus:\n%s\nvs\n%s", got, want)
+	}
+
+	// Readers each finish one pass before the commits start, then keep
+	// reading until both have landed.
+	stop := make(chan struct{})
+	var ready, done sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for pass := 0; ; pass++ {
+				got := derivedFingerprint(snap)
+				if pass == 0 {
+					ready.Done()
+				}
+				if got != want {
+					t.Errorf("a reader saw the snapshot change:\n%s\nvs\n%s", got, want)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	ingestFenceDay(live, 1)
+	ingestFenceDay(live, 4)
+	close(stop)
+	done.Wait()
+
+	if got := derivedFingerprint(snap); got != want {
+		t.Errorf("snapshot changed after days 1 and 4 committed:\n%s\nvs\n%s", got, want)
+	}
+	if got, all := derivedFingerprint(live.Snapshot()), batch(0, 1, 2, 3, 4); got != all {
+		t.Errorf("live corpus after an out-of-order day differs from the batch corpus:\n%s\nvs\n%s", got, all)
 	}
 }
 

@@ -124,3 +124,68 @@ func TestCorpusInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestObservedEqualsAddressIndex: Snapshot.Observed answers exactly as
+// an index of every recorded responder address would — for recorded
+// addresses, for a known IID in a /64 it never held, for non-EUI-64
+// responders, and for addresses never probed.
+func TestObservedEqualsAddressIndex(t *testing.T) {
+	base := ip6.MustParsePrefix("2001:db8::/32")
+	macs := make([]ip6.MAC, 8)
+	for i := range macs {
+		macs[i] = ip6.MAC{0x38, 0x10, 0xd5, 0, 0, byte(i + 1)}
+	}
+	f := func(script obsScript) bool {
+		rib := bgp.New()
+		rib.Insert(bgp.Route{Prefix: base, ASN: 65000, Country: "XX"})
+		corpus := core.NewCorpus(rib)
+		byDay := map[int][]obsStep{}
+		for _, st := range script.Steps {
+			byDay[int(st.Day)] = append(byDay[int(st.Day)], st)
+		}
+		var probe []ip6.Addr
+		for day, steps := range byDay {
+			sd := corpus.NewScanDay(day)
+			for _, st := range steps {
+				p64 := base.Subprefix(uint64(st.Prefix), 64)
+				resp := p64.Addr().WithIID(ip6.EUI64FromMAC(macs[st.Device]))
+				if st.Device == 7 {
+					resp = p64.Addr().WithIID(uint64(st.Day) + 1) // not EUI-64
+				}
+				sd.Record(p64.RandomAddr(uint64(st.Device), uint64(st.Prefix)), resp)
+				probe = append(probe, resp)
+			}
+			sd.Commit()
+		}
+
+		index := map[ip6.Addr]core.IID{}
+		for _, iid := range corpus.IIDs() {
+			rec, _ := corpus.Lookup(iid)
+			for _, d := range rec.Days {
+				index[d.Resp] = iid
+			}
+		}
+		// Every device in every /64 of the universe and one beyond it:
+		// held and never-held /64s of known and unknown IIDs alike.
+		for _, mac := range macs {
+			for p := uint64(0); p <= 10; p++ {
+				probe = append(probe, base.Subprefix(p, 64).Addr().WithIID(ip6.EUI64FromMAC(mac)))
+			}
+		}
+		probe = append(probe, ip6.MustParseAddr("2001:db9::1"))
+
+		snap := corpus.Snapshot()
+		for _, a := range probe {
+			want, wantOK := index[a]
+			got, ok := snap.Observed(a)
+			if ok != wantOK || got != want {
+				t.Logf("Observed(%s) = %016x, %v; index says %016x, %v", a, uint64(got), ok, uint64(want), wantOK)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}

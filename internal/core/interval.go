@@ -33,7 +33,7 @@ func (c *Corpus) IntervalSamples() []IntervalSample {
 	var out []IntervalSample
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
-		if len(rec.prefixes) < 2 {
+		if rec.prefixCount < 2 {
 			continue
 		}
 		// Build the day -> prefix map (first observation wins; a device

@@ -30,20 +30,11 @@ func (c *Corpus) MultiASIIDs() []MultiASIID {
 	var out []MultiASIID
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
-		if len(rec.ASDays) < 2 {
+		asns := rec.ASNs()
+		if len(asns) < 2 {
 			continue
 		}
-		m := MultiASIID{IID: iid, DaysByAS: map[uint32][]int{}}
-		for asn, days := range rec.ASDays {
-			m.ASNs = append(m.ASNs, asn)
-			ds := make([]int, 0, len(days))
-			for d := range days {
-				ds = append(ds, d)
-			}
-			sort.Ints(ds)
-			m.DaysByAS[asn] = ds
-		}
-		sort.Slice(m.ASNs, func(i, j int) bool { return m.ASNs[i] < m.ASNs[j] })
+		m := MultiASIID{IID: iid, ASNs: asns, DaysByAS: rec.daysByAS()}
 		// Same-day presence in distinct ASes?
 		seen := map[int]uint32{}
 	overlap:

@@ -2,25 +2,26 @@ package core
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
 	"followscent/internal/ip6"
 )
 
-// Snapshot is an immutable, self-contained view of a Corpus at one
-// ingestion boundary: a deep copy of every record plus the derived
-// indexes the serving layer queries (address → device, OUI → vendor
-// population, per-AS allocation/pool inferences). A Snapshot is safe
-// for unlimited concurrent readers while the originating Corpus keeps
-// ingesting — nothing in it aliases live corpus state — and every
-// answer it gives is byte-identical to the batch computation over the
-// day set it captured, because it *is* that batch computation over a
-// frozen copy.
+// Snapshot is an immutable view of a Corpus at one ingestion boundary:
+// fenced copies of every record header over the live append-only
+// history, plus the derived views the serving layer queries (address →
+// device, OUI → vendor population, per-AS allocation/pool inferences).
+// A Snapshot is safe for unlimited concurrent readers while the
+// originating Corpus keeps ingesting — the corpus never writes below a
+// length a snapshot saw — and every answer it gives is byte-identical
+// to the batch computation over the day set it captured, because it
+// *is* that batch computation over a frozen view.
 type Snapshot struct {
-	c      *Corpus // frozen: never mutated after Snapshot returns
-	days   []int
-	byAddr map[ip6.Addr]IID
+	c    *Corpus // frozen: never mutated after Snapshot returns
+	days []int
 
 	// Per-AS inferences are derived lazily (once per snapshot): most
 	// commits never see a `pools` query before the next snapshot
@@ -30,11 +31,15 @@ type Snapshot struct {
 	poolByAS  map[uint32]int
 }
 
-// Snapshot deep-copies the corpus into an immutable view. The copy
-// holds the counter totals, every IID record, and the day set; the
-// per-address uniqueness sets are folded into counters (exactly as
-// Save persists them), so a snapshot costs O(records), not O(unique
-// addresses).
+// Snapshot publishes an immutable view of the corpus in O(records),
+// independent of history length. It copies the counter totals, the day
+// set and every IID record's header by value; each header's history
+// slices share the live backing arrays, cut to their current length and
+// capacity (s[:n:n]). The view stays frozen because the live corpus
+// never writes below a length it has published: later days append past
+// the fence, and an out-of-order day copies a record's history instead
+// of shifting it (see mergeLocked). The per-address uniqueness sets are
+// folded into counters, exactly as Save persists them.
 func (c *Corpus) Snapshot() *Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -45,48 +50,23 @@ func (c *Corpus) Snapshot() *Snapshot {
 		TotalResponses: c.TotalResponses,
 		totalAddrs:     map[ip6.Addr]struct{}{},
 		euiAddrs:       map[ip6.Addr]struct{}{},
-		days:           make(map[int]struct{}, len(c.days)),
+		days:           maps.Clone(c.days),
 		// Fold the live sets into the carried counters, like Save does.
 		loadedTotalAddrs: len(c.totalAddrs) + c.loadedTotalAddrs,
 		loadedEUIAddrs:   len(c.euiAddrs) + c.loadedEUIAddrs,
 	}
-	byAddr := make(map[ip6.Addr]IID)
+	headers := make([]IIDRecord, 0, len(c.iids))
 	for iid, rec := range c.iids {
-		nr := &IIDRecord{
-			IID:       rec.IID,
-			Days:      append([]DayObs(nil), rec.Days...),
-			MinRespHi: rec.MinRespHi,
-			MaxRespHi: rec.MaxRespHi,
-			prefixes:  make(map[uint64]struct{}, len(rec.prefixes)),
-			ASDays:    make(map[uint32]map[int]struct{}, len(rec.ASDays)),
-		}
-		for p := range rec.prefixes {
-			nr.prefixes[p] = struct{}{}
-		}
-		for asn, days := range rec.ASDays {
-			nd := make(map[int]struct{}, len(days))
-			for d := range days {
-				nd[d] = struct{}{}
-			}
-			nr.ASDays[asn] = nd
-		}
-		cl.iids[iid] = nr
-		for i := range nr.Days {
-			byAddr[nr.Days[i].Resp] = iid
-		}
+		h := *rec
+		h.Days = slices.Clip(rec.Days)
+		h.asDays = slices.Clip(rec.asDays)
+		headers = append(headers, h)
+		cl.iids[iid] = &headers[len(headers)-1]
 	}
-	for d := range c.days {
-		cl.days[d] = struct{}{}
-	}
-	days := make([]int, 0, len(cl.days))
-	for d := range cl.days {
-		days = append(days, d)
-	}
-	sort.Ints(days)
-	return &Snapshot{c: cl, days: days, byAddr: byAddr}
+	return &Snapshot{c: cl, days: slices.Sorted(maps.Keys(cl.days))}
 }
 
-// Corpus exposes the frozen copy for the full batch API (TimeSeries,
+// Corpus exposes the frozen view for the full batch API (TimeSeries,
 // AllocationSamples, Save, …). Callers must treat it as read-only: the
 // snapshot's isolation guarantee is exactly that nothing writes here.
 func (s *Snapshot) Corpus() *Corpus { return s.c }
@@ -99,10 +79,16 @@ func (s *Snapshot) Days() []int { return s.days }
 func (s *Snapshot) NumIIDs() int { return s.c.NumIIDs() }
 
 // Observed resolves a response address ever seen in the corpus to its
-// IID — the address → device-history index.
+// IID. Records hold only EUI-64 responders, whose IID is the address's
+// low 64 bits (RFC 4291 App. A), so this is one record lookup plus one
+// pass over that device's history.
 func (s *Snapshot) Observed(a ip6.Addr) (IID, bool) {
-	iid, ok := s.byAddr[a]
-	return iid, ok
+	iid := IID(a.IID())
+	rec, ok := s.c.iids[iid]
+	if !ok || !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp == a }) {
+		return 0, false
+	}
+	return iid, true
 }
 
 // OUICount is one vendor-census row: how many distinct devices carry

@@ -50,11 +50,12 @@ func Answer(snap *core.Snapshot, reg *oui.Registry, req Request) Response {
 				resp.Lookup.Vendor = reg.NameOrUnknown(mac.OUI())
 			}
 			resp.Lookup.Prefixes = rec.PrefixCount()
-			days := map[int]struct{}{}
+			// rec.Days is chronological: count day changes.
 			for i := range rec.Days {
-				days[rec.Days[i].Day] = struct{}{}
+				if i == 0 || rec.Days[i].Day != rec.Days[i-1].Day {
+					resp.Lookup.DaysSeen++
+				}
 			}
-			resp.Lookup.DaysSeen = len(days)
 		}
 	case "prefixes":
 		iid, err := parseIID(req.IID)

@@ -11,7 +11,7 @@
 // that commit and the day's journal append are complete. Every answer is
 // therefore byte-identical to the batch computation over the snapshot's
 // day set — the snapshot *is* that batch computation, over a frozen
-// deep copy.
+// view of the append-only history.
 package scentd
 
 import (
