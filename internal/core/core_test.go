@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -533,7 +534,8 @@ func TestCorpusAccounting(t *testing.T) {
 	}
 
 	// Day 1 repeats one EUI-64 and one non-EUI responder and brings one
-	// new of each: Meta is exactly the before/after delta.
+	// new of each: Meta holds the counter deltas and lists only the new
+	// non-EUI responder, and UniqueAddrs grows by one of each.
 	eui2 := ip6.MustParsePrefix("2001:db8:3::/64").Addr().WithIID(ip6.EUI64FromMAC(ip6.MustParseMAC("38:10:d5:00:00:02")))
 	priv2 := ip6.MustParseAddr("2001:db8:4::1234:5678:9abc:def0")
 	p0, r0 := corpus.Totals()
@@ -546,10 +548,12 @@ func TestCorpusAccounting(t *testing.T) {
 	sd1.Commit()
 	p1, r1 := corpus.Totals()
 	t1, e1 := corpus.UniqueAddrs()
-	delta := core.DaySegmentMeta{Probes: p1 - p0, Responses: r1 - r0, NewTotalAddrs: t1 - t0, NewEUIAddrs: e1 - e0}
-	want := core.DaySegmentMeta{Probes: 7, Responses: 5, NewTotalAddrs: 2, NewEUIAddrs: 1}
-	if got := sd1.Meta(); got != delta || delta != want {
-		t.Errorf("day 1 Meta %+v, corpus delta %+v, want both %+v", got, delta, want)
+	want := core.DaySegmentMeta{Probes: 7, Responses: 5, NewOtherAddrs: []ip6.Addr{priv2}}
+	if got := sd1.Meta(); !reflect.DeepEqual(got, want) || p1-p0 != want.Probes || r1-r0 != want.Responses {
+		t.Errorf("day 1 Meta %+v, corpus delta %d/%d, want %+v", got, p1-p0, r1-r0, want)
+	}
+	if t1-t0 != 2 || e1-e0 != 1 {
+		t.Errorf("day 1 added %d/%d unique addrs, want 2/1", t1-t0, e1-e0)
 	}
 
 	// A second Commit adds nothing.

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -99,23 +100,21 @@ type Corpus struct {
 	// Totals across the campaign (the §5 headline numbers).
 	TotalProbes    uint64
 	TotalResponses uint64
-	totalAddrs     map[ip6.Addr]struct{} // unique response addresses
-	euiAddrs       map[ip6.Addr]struct{} // unique EUI-64 response addresses
 	days           map[int]struct{}
-	// Counters carried over from loaded corpus files, whose per-address
-	// sets are not persisted (see corpus_io.go).
-	loadedTotalAddrs int
-	loadedEUIAddrs   int
+	// Unique responders: euiCount counts the EUI-64 ones (DayObs.Resp);
+	// others lists the rest, append-only for snapshots; otherSet indexes it.
+	euiCount int
+	others   []ip6.Addr
+	otherSet map[ip6.Addr]struct{}
 }
 
 // NewCorpus returns an empty corpus attributing addresses via rib.
 func NewCorpus(rib *bgp.Table) *Corpus {
 	return &Corpus{
-		rib:        rib,
-		iids:       make(map[IID]*IIDRecord),
-		totalAddrs: make(map[ip6.Addr]struct{}),
-		euiAddrs:   make(map[ip6.Addr]struct{}),
-		days:       make(map[int]struct{}),
+		rib:      rib,
+		iids:     make(map[IID]*IIDRecord),
+		days:     make(map[int]struct{}),
+		otherSet: make(map[ip6.Addr]struct{}),
 	}
 }
 
@@ -144,9 +143,9 @@ func (c *Corpus) NewScanDay(day int) *ScanDay {
 // Day returns the day index the ScanDay collects.
 func (s *ScanDay) Day() int { return s.day }
 
-// Meta returns the day's counters: the probes and responses recorded
-// and, once committed, how many response addresses (all, EUI-64) the
-// commit added to the corpus — the deltas a journal segment persists.
+// Meta returns what the day's journal segment persists beside its
+// observations: the probes and responses recorded and, once committed,
+// the non-EUI-64 responders the commit added to the corpus.
 func (s *ScanDay) Meta() DaySegmentMeta { return s.meta }
 
 // Record adds one probe result: the probed target and the source of the
@@ -179,8 +178,8 @@ func (s *ScanDay) Record(target, from ip6.Addr) {
 func (s *ScanDay) AddProbes(n uint64) { s.meta.Probes += n }
 
 // Commit folds the day into the corpus under one lock: the probe and
-// response counters, the day's responders into the corpus-wide unique
-// address sets (Meta then counts the new ones), and its observations.
+// response counters, the day's non-EUI-64 responders into the corpus's
+// set of them (Meta then lists the new ones), and its observations.
 // A second Commit adds nothing.
 func (s *ScanDay) Commit() {
 	c := s.c
@@ -191,18 +190,22 @@ func (s *ScanDay) Commit() {
 	}
 	c.TotalProbes += s.meta.Probes
 	c.TotalResponses += s.meta.Responses
-	total0, eui0 := len(c.totalAddrs), len(c.euiAddrs)
-	for k := range s.agg {
-		c.totalAddrs[k.resp] = struct{}{}
-		c.euiAddrs[k.resp] = struct{}{}
-	}
-	for a := range s.other {
-		c.totalAddrs[a] = struct{}{}
-	}
-	s.meta.NewTotalAddrs = len(c.totalAddrs) - total0
-	s.meta.NewEUIAddrs = len(c.euiAddrs) - eui0
+	s.meta.NewOtherAddrs = c.addOthersLocked(slices.Collect(maps.Keys(s.other)))
 	s.other = nil
 	s.mergeLocked()
+}
+
+// addOthersLocked adds to the corpus the non-EUI-64 responders in addrs
+// it has not seen yet and returns those. The caller holds c.mu.
+func (c *Corpus) addOthersLocked(addrs []ip6.Addr) []ip6.Addr {
+	n := len(c.others)
+	for _, a := range addrs {
+		if _, ok := c.otherSet[a]; !ok {
+			c.otherSet[a] = struct{}{}
+			c.others = append(c.others, a)
+		}
+	}
+	return slices.Clip(c.others[n:])
 }
 
 // mergeLocked appends the day's observations to their IID records and
@@ -235,7 +238,9 @@ func (s *ScanDay) mergeLocked() {
 			c.iids[k.iid] = rec
 		}
 		if !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp.High64() == hi }) {
+			// The IID is fixed, so a new /64 is a new address.
 			rec.prefixCount++
+			c.euiCount++
 		}
 		// A day committed after a later one still lands in day order.
 		at := len(rec.Days)
@@ -301,7 +306,7 @@ func (c *Corpus) Totals() (probes, responses uint64) {
 func (c *Corpus) UniqueAddrs() (total, eui int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.totalAddrs) + c.loadedTotalAddrs, len(c.euiAddrs) + c.loadedEUIAddrs
+	return c.euiCount + len(c.others), c.euiCount
 }
 
 // Days returns the scan-day indices present, sorted.

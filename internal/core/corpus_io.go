@@ -17,11 +17,12 @@ import (
 
 // Corpus persistence: one line-oriented text format, the journal. A
 // header line is followed by self-contained segments, each carrying
-// counter lines and obs lines and committed by its closing line:
+// counter, addr and obs lines and committed by its closing line:
 //
 //   - a day segment, `day N` … `endday N`, carries one day's counter
-//     deltas and observations. SaveDay appends one; a serving store
-//     appends one per committed day and never rewrites history.
+//     deltas, observations and newly seen non-EUI-64 responders. SaveDay
+//     appends one; a serving store appends one per committed day and
+//     never rewrites history.
 //   - a snap segment, `snap d1 d2 …` … `endsnap`, carries a whole
 //     corpus history at once. Save is the header plus one snap segment;
 //     Store.Compact rewrites a journal that way. Day segments for later
@@ -30,11 +31,9 @@ import (
 // A segment is committed once its closing line is complete, newline
 // included; ReplayJournal, the one reader, returns the byte length up
 // to there, and whatever follows is a torn append to drop. The EUI-64
-// observation records are persisted exactly; the probe/response
-// counters are carried as scalars. Per-address sets for non-EUI
-// responders are not persisted — they feed no analysis — so
-// UniqueAddrs on a loaded corpus reports the persisted totals rather
-// than recounting.
+// observation records and the non-EUI-64 responders (`addr` lines) are
+// persisted exactly, so UniqueAddrs recounts them on load; the
+// probe/response counters are carried as scalars.
 //
 // Loading is idempotent at day granularity: a segment whose days the
 // corpus already holds is skipped whole, counters included. That is
@@ -43,7 +42,7 @@ import (
 // responses, or DayObs entries.
 
 const (
-	corpusMagic = "# followscent corpus v2"
+	corpusMagic = "# followscent corpus v3"
 
 	// maxCorpusLine caps the loader's line buffer. A line this long is
 	// not a corpus file (the longest legal line is an obs record, well
@@ -71,13 +70,15 @@ func WriteCorpusJournalHeader(w io.Writer) error {
 	return nil
 }
 
-// DaySegmentMeta carries the day-local counter deltas a day segment
-// persists alongside its observations: probes sent and responses heard
-// that day, and how many previously-unseen unique (total, EUI-64)
-// response addresses the day introduced.
+// ErrCorpusV2 refuses the retired v2 format, which carried counts, not address sets.
+var ErrCorpusV2 = errors.New("core: corpus format v2 is retired: it carries address counts, not address sets; rebuild the corpus")
+
+// DaySegmentMeta carries what a day segment persists alongside its
+// observations: probes sent and responses heard that day, and the
+// non-EUI-64 responders the day added to the corpus.
 type DaySegmentMeta struct {
-	Probes, Responses          uint64
-	NewTotalAddrs, NewEUIAddrs int
+	Probes, Responses uint64
+	NewOtherAddrs     []ip6.Addr
 }
 
 // SaveDay appends one self-contained day segment: the given day's
@@ -98,10 +99,10 @@ func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
 }
 
 // SaveSnap writes the corpus's entire committed history as one snap
-// segment: the sorted day set, the accumulated counters, and every
-// observation, closed by an `endsnap` marker. A journal rewritten as
-// header + snap segment (Store.Compact) replays to exactly the corpus
-// the original day-by-day journal does, and stays appendable — SaveDay
+// segment: the sorted day set, the accumulated counters, every
+// non-EUI-64 responder and every observation, closed by an `endsnap`
+// marker. A journal rewritten as header + snap segment (Store.Compact)
+// replays to exactly the corpus the original day-by-day journal does, and stays appendable — SaveDay
 // segments follow it for the days after the compaction horizon. A
 // corpus with no committed days writes nothing.
 func (c *Corpus) SaveSnap(w io.Writer) error {
@@ -124,8 +125,7 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	c.writeSegmentBodyLocked(bw, DaySegmentMeta{
 		Probes:        c.TotalProbes,
 		Responses:     c.TotalResponses,
-		NewTotalAddrs: len(c.totalAddrs) + c.loadedTotalAddrs,
-		NewEUIAddrs:   len(c.euiAddrs) + c.loadedEUIAddrs,
+		NewOtherAddrs: c.others,
 	}, func(int) bool { return true })
 	fmt.Fprintln(bw, "endsnap")
 	if err := bw.Flush(); err != nil {
@@ -134,11 +134,17 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	return nil
 }
 
-// writeSegmentBodyLocked writes a segment's counter lines, then the obs
-// line of every observation on a day keep accepts, in IID order. The
-// caller holds c.mu.
+// writeSegmentBodyLocked writes a segment's counter lines, its addr
+// lines sorted in a copy (m may hold the corpus's shared history), then
+// the obs line of every observation on a day keep accepts, in IID
+// order. The caller holds c.mu.
 func (c *Corpus) writeSegmentBodyLocked(bw *bufio.Writer, m DaySegmentMeta, keep func(day int) bool) {
-	fmt.Fprintf(bw, "probes %d\nresponses %d\nnewaddrs %d %d\n", m.Probes, m.Responses, m.NewTotalAddrs, m.NewEUIAddrs)
+	fmt.Fprintf(bw, "probes %d\nresponses %d\n", m.Probes, m.Responses)
+	others := slices.Clone(m.NewOtherAddrs)
+	sort.Slice(others, func(i, j int) bool { return others[i].Less(others[j]) })
+	for _, a := range others {
+		fmt.Fprintf(bw, "addr %s\n", a)
+	}
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
 		for i := range rec.Days {
@@ -199,6 +205,9 @@ func ReplayJournal(r io.Reader, c *Corpus) (int64, error) {
 		off += int64(len(raw))
 		text := strings.TrimSpace(raw)
 		if line == 1 {
+			if text == "# followscent corpus v2" {
+				return 0, ErrCorpusV2
+			}
 			if text != corpusMagic {
 				return 0, fmt.Errorf("core: not a corpus file (got %q)", text)
 			}
@@ -326,17 +335,19 @@ func (s *segment) add(fields []string, line int) (closed bool, err error) {
 		} else {
 			s.meta.Responses += v
 		}
-	case "newaddrs":
-		if len(fields) != 3 {
-			return false, fmt.Errorf("core: line %d: malformed newaddrs", line)
+	case "addr":
+		if len(fields) != 2 {
+			return false, fmt.Errorf("core: line %d: malformed addr", line)
 		}
-		total, err1 := strconv.Atoi(fields[1])
-		eui, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			return false, fmt.Errorf("core: line %d: bad newaddrs", line)
+		a, err := ip6.ParseAddr(fields[1])
+		if err != nil {
+			return false, fmt.Errorf("core: line %d: bad addr: %w", line, err)
 		}
-		s.meta.NewTotalAddrs += total
-		s.meta.NewEUIAddrs += eui
+		if ip6.AddrIsEUI64(a) {
+			// EUI-64 responders are counted from obs lines only.
+			return false, fmt.Errorf("core: line %d: addr %s is EUI-64", line, a)
+		}
+		s.meta.NewOtherAddrs = append(s.meta.NewOtherAddrs, a)
 	case "obs":
 		return false, s.addObs(fields, line)
 	case "endday":
@@ -386,9 +397,8 @@ func (s *segment) addObs(fields []string, line int) error {
 }
 
 // addLoaded commits a segment's days, in day order for a deterministic
-// chronology, and applies its counters, all under one lock. The days'
-// responders stay out of the live address sets: the file carries no
-// per-address sets, so its counts are carried instead.
+// chronology, and applies its counters and non-EUI-64 responders, all
+// under one lock.
 func (c *Corpus) addLoaded(m DaySegmentMeta, days map[int]*ScanDay) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -397,8 +407,7 @@ func (c *Corpus) addLoaded(m DaySegmentMeta, days map[int]*ScanDay) {
 	}
 	c.TotalProbes += m.Probes
 	c.TotalResponses += m.Responses
-	c.loadedTotalAddrs += m.NewTotalAddrs
-	c.loadedEUIAddrs += m.NewEUIAddrs
+	c.addOthersLocked(m.NewOtherAddrs)
 }
 
 // insertLoaded restores one aggregated observation, bypassing the

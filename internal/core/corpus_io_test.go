@@ -77,9 +77,9 @@ func TestLoadCorpusReloadIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	type summary struct {
-		days                 []int
-		probes, responses    uint64
-		totalAddrs, euiAddrs int
+		days              []int
+		probes, responses uint64
+		unique, uniqueEUI int
 	}
 	sum := func(c *core.Corpus) summary {
 		p, r := c.Totals()
@@ -134,15 +134,11 @@ func TestLoadCorpusPartialOverlapAddsOnlyNewDays(t *testing.T) {
 	}
 	for day := 0; day < 2; day++ {
 		pBefore, rBefore := src.Totals()
-		tBefore, eBefore := src.UniqueAddrs()
 		ingestFixtureDay(src, day, 4)
 		pAfter, rAfter := src.Totals()
-		tAfter, eAfter := src.UniqueAddrs()
 		if err := src.SaveDay(&journal, day, core.DaySegmentMeta{
-			Probes:        pAfter - pBefore,
-			Responses:     rAfter - rBefore,
-			NewTotalAddrs: tAfter - tBefore,
-			NewEUIAddrs:   eAfter - eBefore,
+			Probes:    pAfter - pBefore,
+			Responses: rAfter - rBefore,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -204,15 +200,11 @@ func TestJournalRoundTripEqualsBatch(t *testing.T) {
 	}
 	for day := 0; day < 4; day++ {
 		pBefore, rBefore := src.Totals()
-		tBefore, eBefore := src.UniqueAddrs()
 		ingestFixtureDay(src, day, 6)
 		pAfter, rAfter := src.Totals()
-		tAfter, eAfter := src.UniqueAddrs()
 		if err := src.SaveDay(&journal, day, core.DaySegmentMeta{
-			Probes:        pAfter - pBefore,
-			Responses:     rAfter - rBefore,
-			NewTotalAddrs: tAfter - tBefore,
-			NewEUIAddrs:   eAfter - eBefore,
+			Probes:    pAfter - pBefore,
+			Responses: rAfter - rBefore,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -257,18 +249,19 @@ func TestLoadCorpusTornTailDropped(t *testing.T) {
 }
 
 // derivedFingerprint condenses everything a snapshot answers from: the
-// Save bytes plus the views Save leaves out — per-record /64 counts and
-// AS sets, the per-AS inferences' inputs, the vendor census, and the
-// address index for every recorded responder. Safe to call from any
-// goroutine.
+// Save bytes plus the views Save leaves out — the unique-address counts,
+// per-record /64 counts and AS sets, the per-AS inferences' inputs, the
+// vendor census, and the address index for every recorded responder.
+// Safe to call from any goroutine.
 func derivedFingerprint(snap *core.Snapshot) string {
 	c := snap.Corpus()
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
 		return "save: " + err.Error()
 	}
-	fmt.Fprintf(&buf, "days %v\nprefixes %v\nmultias %+v\nintervals %+v\npools %+v\ncensus %+v\n",
-		snap.Days(), c.PrefixesPerIID(), c.MultiASIIDs(), c.IntervalSamples(), c.PoolSamples(),
+	total, eui := c.UniqueAddrs()
+	fmt.Fprintf(&buf, "unique %d %d\ndays %v\nprefixes %v\nmultias %+v\nintervals %+v\npools %+v\ncensus %+v\n",
+		total, eui, snap.Days(), c.PrefixesPerIID(), c.MultiASIIDs(), c.IntervalSamples(), c.PoolSamples(),
 		snap.VendorCensus(ip6.Prefix{}))
 	for _, day := range snap.Days() {
 		fmt.Fprintf(&buf, "alloc %d %+v\n", day, c.AllocationSamples(day))
@@ -325,7 +318,8 @@ func fenceRIB() *bgp.Table {
 // ingestFenceDay commits one day of a fixture built to reach every
 // record field: device 0 moves to the second AS from day 2 on, devices 0
 // and 2 answer from two /64s every day, device 4 shows up on odd days
-// only, device 5 only on days 1 and 4, and one responder is not EUI-64.
+// only, device 5 only on days 1 and 4, one non-EUI-64 responder answers
+// every day and another is new each day.
 func ingestFenceDay(c *core.Corpus, day int) {
 	addr := func(d, p int) ip6.Addr {
 		a := fixtureAddr(d, p)
@@ -347,6 +341,7 @@ func ingestFenceDay(c *core.Corpus, day int) {
 		}
 	}
 	sd.Record(fixtureAddr(0, 6), ip6.MustParseAddr("2001:16b8:106::1"))
+	sd.Record(fixtureAddr(1, 6), ip6.MustParseAddr(fmt.Sprintf("2001:16b8:106::%x", 0x100+day)))
 	sd.AddProbes(16)
 	sd.Commit()
 }
@@ -422,9 +417,10 @@ func TestSnapshotFenceOutOfOrderDay(t *testing.T) {
 
 // FuzzLoadCorpus feeds arbitrary bytes to the corpus loader. It never
 // panics; whatever it accepts is a fixed point after one Save (Save of
-// the loaded corpus loads back to identical Save bytes); and the
-// committed prefix ReplayJournal reports loads to the same corpus as the
-// whole input, so what a store truncates away was never corpus history.
+// the loaded corpus loads back to identical Save bytes and unique-address
+// counts); and the committed prefix ReplayJournal reports loads to the
+// same corpus and counts as the whole input, so what a store truncates
+// away was never corpus history.
 // The seeds are a Save file, a day-by-day journal, one compacted after
 // two days and then appended to, and one whose days arrive out of order.
 func FuzzLoadCorpus(f *testing.F) {
@@ -482,12 +478,19 @@ func FuzzLoadCorpus(f *testing.F) {
 		if twice := save(t, again); !bytes.Equal(once, twice) {
 			t.Fatalf("Save(load(Save(load(x)))) differs:\n%s\nvs\n%s", once, twice)
 		}
+		total, eui := c.UniqueAddrs()
+		if t2, e2 := again.UniqueAddrs(); t2 != total || e2 != eui {
+			t.Fatalf("unique addrs %d/%d after Save∘Load, %d/%d before", t2, e2, total, eui)
+		}
 		prefix := core.NewCorpus(ioFixtureRIB())
 		if err := core.LoadCorpus(bytes.NewReader(data[:n]), prefix); err != nil {
 			t.Fatalf("committed prefix of %d bytes does not load: %v", n, err)
 		}
 		if p := save(t, prefix); !bytes.Equal(p, once) {
 			t.Fatalf("committed prefix loads to\n%s\nthe whole input to\n%s", p, once)
+		}
+		if tp, ep := prefix.UniqueAddrs(); tp != total || ep != eui {
+			t.Fatalf("committed prefix counts unique addrs %d/%d, the whole input %d/%d", tp, ep, total, eui)
 		}
 	})
 }

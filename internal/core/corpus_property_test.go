@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -180,6 +182,105 @@ func TestObservedEqualsAddressIndex(t *testing.T) {
 			got, ok := snap.Observed(a)
 			if ok != wantOK || got != want {
 				t.Logf("Observed(%s) = %016x, %v; index says %016x, %v", a, uint64(got), ok, uint64(want), wantOK)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUniqueAddrsRestartExact: the unique-address counts are a function
+// of the responders recorded, not of where a journal was reopened.
+// Random days, committed in shuffled order, repeat EUI-64 and non-EUI-64
+// responders across days. For every split point k the first k days are
+// journaled and replayed into a fresh corpus, which then commits the
+// rest; its UniqueAddrs must equal the distinct responders over every
+// Record call, as must the corpus's after a Save → LoadCorpus round
+// trip, the whole journal's replay, and a corpus resumed from the
+// k-day corpus compacted into one snap segment.
+func TestUniqueAddrsRestartExact(t *testing.T) {
+	base := ip6.MustParsePrefix("2001:db8::/32")
+	rib := bgp.New()
+	rib.Insert(bgp.Route{Prefix: base, ASN: 65000, Country: "XX"})
+	f := func(script obsScript, seed int64) bool {
+		// Devices 6 and 7 answer from a fixed non-EUI-64 address per /64,
+		// so both kinds of responder repeat whenever a /64 does.
+		resp := func(st obsStep) ip6.Addr {
+			p64 := base.Subprefix(uint64(st.Prefix), 64)
+			if st.Device >= 6 {
+				return p64.Addr().WithIID(uint64(st.Device))
+			}
+			return p64.Addr().WithIID(ip6.EUI64FromMAC(ip6.MAC{0x38, 0x10, 0xd5, 0, 0, st.Device + 1}))
+		}
+		byDay := map[int][]obsStep{}
+		truth := map[ip6.Addr]struct{}{}
+		for _, st := range script.Steps {
+			byDay[int(st.Day)] = append(byDay[int(st.Day)], st)
+			truth[resp(st)] = struct{}{}
+		}
+		wantEUI := 0
+		for a := range truth {
+			if ip6.AddrIsEUI64(a) {
+				wantEUI++
+			}
+		}
+		order := make([]int, 0, len(byDay))
+		for day := range byDay {
+			order = append(order, day)
+		}
+		sort.Ints(order)
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+		// commit records one day into c and journals it.
+		commit := func(c *core.Corpus, journal *bytes.Buffer, day int) {
+			sd := c.NewScanDay(day)
+			for _, st := range byDay[day] {
+				sd.Record(base.Subprefix(uint64(st.Prefix), 64).RandomAddr(uint64(st.Device), uint64(st.Prefix)), resp(st))
+			}
+			sd.AddProbes(uint64(len(byDay[day])))
+			sd.Commit()
+			c.SaveDay(journal, day, sd.Meta())
+		}
+		load := func(file []byte) *core.Corpus {
+			c := core.NewCorpus(rib)
+			if err := core.LoadCorpus(bytes.NewReader(file), c); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		check := func(what string, k int, c *core.Corpus) bool {
+			if total, eui := c.UniqueAddrs(); total != len(truth) || eui != wantEUI {
+				t.Logf("split %d of %v, %s: unique addrs %d/%d, want %d/%d", k, order, what, total, eui, len(truth), wantEUI)
+				return false
+			}
+			return true
+		}
+		for k := 0; k <= len(order); k++ {
+			src := core.NewCorpus(rib)
+			var journal bytes.Buffer
+			core.WriteCorpusJournalHeader(&journal)
+			for _, day := range order[:k] {
+				commit(src, &journal, day)
+			}
+			var compacted bytes.Buffer
+			src.Save(&compacted)
+
+			resumed := load(journal.Bytes())
+			fromSnap := load(compacted.Bytes())
+			for _, day := range order[k:] {
+				commit(resumed, &journal, day)
+				commit(fromSnap, &compacted, day)
+			}
+			var saved bytes.Buffer
+			resumed.Save(&saved)
+			if !check("resumed", k, resumed) ||
+				!check("Save → LoadCorpus", k, load(saved.Bytes())) ||
+				!check("journal replay", k, load(journal.Bytes())) ||
+				!check("resumed from a snap segment", k, fromSnap) ||
+				!check("its journal replay", k, load(compacted.Bytes())) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -118,10 +119,15 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 // malformed line sits inside a closed segment after a valid header, and
 // each case must fail with its own named error, not the header check.
 func TestLoadCorpusErrors(t *testing.T) {
-	const hdr = "# followscent corpus v2\n"
+	const hdr = "# followscent corpus v3\n"
 	for name, tc := range map[string]struct{ in, want string }{
 		"no magic":      {"obs 0 0 :: 0 0 1\n", "not a corpus file"},
 		"v1 magic":      {"# followscent corpus v1\nprobes 0\n", "not a corpus file"},
+		"v2 magic":      {"# followscent corpus v2\nsnap 0\nendsnap\n", "corpus format v2 is retired"},
+		"bad addr line": {hdr + "day 0\naddr 2001:db8::1 2001:db8::2\nendday 0\n", "line 3: malformed addr"},
+		"addr unparsed": {hdr + "day 0\naddr 2001:db8::zz\nendday 0\n", "line 3: bad addr"},
+		"addr EUI-64":   {hdr + "snap 0\naddr 2001:db8::3a10:d5ff:fe00:1\nendsnap\n", "line 3: addr 2001:db8::3a10:d5ff:fe00:1 is EUI-64"},
+		"addr outside":  {hdr + "addr 2001:db8::1\n", `line 2: expected a day or snap header, got "addr 2001:db8::1"`},
 		"empty":         {"", "empty corpus file"},
 		"bad record":    {hdr + "day 0\nwhatever 1 2\nendday 0\n", `line 3: unknown record "whatever"`},
 		"bad probes":    {hdr + "day 0\nprobes many\nendday 0\n", "line 3: strconv.ParseUint"},
@@ -141,6 +147,9 @@ func TestLoadCorpusErrors(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", name, err, tc.want)
 		}
+	}
+	if err := core.LoadCorpus(strings.NewReader("# followscent corpus v2\n"), core.NewCorpus(bgp.New())); !errors.Is(err, core.ErrCorpusV2) {
+		t.Errorf("v2 header: error %v, want core.ErrCorpusV2", err)
 	}
 }
 

@@ -38,8 +38,8 @@ type Snapshot struct {
 // capacity (s[:n:n]). The view stays frozen because the live corpus
 // never writes below a length it has published: later days append past
 // the fence, and an out-of-order day copies a record's history instead
-// of shifting it (see mergeLocked). The per-address uniqueness sets are
-// folded into counters, exactly as Save persists them.
+// of shifting it (see mergeLocked). The non-EUI-64 responder list is
+// fenced the same way; no per-address set is copied.
 func (c *Corpus) Snapshot() *Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -48,12 +48,9 @@ func (c *Corpus) Snapshot() *Snapshot {
 		iids:           make(map[IID]*IIDRecord, len(c.iids)),
 		TotalProbes:    c.TotalProbes,
 		TotalResponses: c.TotalResponses,
-		totalAddrs:     map[ip6.Addr]struct{}{},
-		euiAddrs:       map[ip6.Addr]struct{}{},
 		days:           maps.Clone(c.days),
-		// Fold the live sets into the carried counters, like Save does.
-		loadedTotalAddrs: len(c.totalAddrs) + c.loadedTotalAddrs,
-		loadedEUIAddrs:   len(c.euiAddrs) + c.loadedEUIAddrs,
+		euiCount:       c.euiCount,
+		others:         slices.Clip(c.others),
 	}
 	headers := make([]IIDRecord, 0, len(c.iids))
 	for iid, rec := range c.iids {

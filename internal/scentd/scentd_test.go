@@ -38,14 +38,18 @@ func fixtureAddr(d, p int) ip6.Addr {
 }
 
 // feedDay streams one synthetic day into any Record/AddProbes sink:
-// each of n devices answers from a day-dependent /64.
+// each of n devices answers from a day-dependent /64, returning to it
+// every 7 days, and two non-EUI-64 responders answer too: one every
+// day, one cycling through three addresses.
 func feedDay(day, n int, record func(target, from ip6.Addr), addProbes func(uint64)) {
 	for d := 0; d < n; d++ {
 		a := fixtureAddr(d, (d+day)%7)
 		record(a, a)
 		record(ip6.MustParsePrefix(fmt.Sprintf("2001:16b8:%x::/64", 0x200+d)).Addr().WithIID(a.IID()), a)
 	}
-	addProbes(uint64(n * 4))
+	record(fixtureAddr(0, 0), ip6.MustParseAddr("2001:16b8:1ff::1"))
+	record(fixtureAddr(0, 1), ip6.MustParseAddr(fmt.Sprintf("2001:16b8:1ff::%x", 2+day%3)))
+	addProbes(uint64(n*4 + 2))
 }
 
 // ingestFixtureDay commits one synthetic day into a store.
@@ -79,6 +83,14 @@ func corpusBytes(t *testing.T, c *core.Corpus) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// uniqueAddrs is c.UniqueAddrs as one comparable value. Save bytes
+// carry the address sets, not the counts derived from them, so tests
+// compare the counts separately.
+func uniqueAddrs(c *core.Corpus) [2]int {
+	total, eui := c.UniqueAddrs()
+	return [2]int{total, eui}
 }
 
 // queryOps are the read-only requests the concurrency tests fire.
@@ -208,9 +220,12 @@ func TestScentdSnapshotIsolationUnderRace(t *testing.T) {
 // TestScentdRestartEqualsUninterrupted is the durability proof: a store
 // killed between days and reopened — even with a torn half-written
 // segment at the tail — converges on exactly the corpus and answers an
-// uninterrupted ingestion produces.
+// uninterrupted ingestion produces. The run is long enough that devices
+// return to /64s they held before the restart, and feedDay's non-EUI-64
+// responders repeat across it, so an address the reopened store knows
+// only from its journal must not count as new again.
 func TestScentdRestartEqualsUninterrupted(t *testing.T) {
-	const days, devices = 4, 16
+	const days, devices = 10, 16
 	dir := t.TempDir()
 	rib := fixtureRIB
 
@@ -223,6 +238,7 @@ func TestScentdRestartEqualsUninterrupted(t *testing.T) {
 		ingestFixtureDay(t, stA, day, devices)
 	}
 	want := corpusBytes(t, stA.Snapshot().Corpus())
+	wantUniq := uniqueAddrs(stA.Snapshot().Corpus())
 	stA.Close()
 
 	// Interrupted run: two days, a hard kill mid-append, restart.
@@ -258,8 +274,11 @@ func TestScentdRestartEqualsUninterrupted(t *testing.T) {
 	if got := corpusBytes(t, stB2.Snapshot().Corpus()); !bytes.Equal(got, want) {
 		t.Errorf("restarted corpus diverges from uninterrupted:\n%s\nvs\n%s", got, want)
 	}
+	if got := uniqueAddrs(stB2.Snapshot().Corpus()); got != wantUniq {
+		t.Errorf("restarted corpus counts unique addrs %v, uninterrupted %v", got, wantUniq)
+	}
 
-	// And the served answers are byte-identical too.
+	// And the served answers, stats included, are byte-identical too.
 	reg := oui.Builtin()
 	snapA := batchCorpusThrough(days, devices).Snapshot()
 	for _, req := range queryOps() {
@@ -346,7 +365,10 @@ func TestStoreMisuse(t *testing.T) {
 // two digits) at every byte offset, as a crash mid-append can. Every
 // cut opens as a store holding exactly the days [0, k) whose segments
 // are complete, with the reference corpus's Save bytes, and takes one
-// more day that survives a reopen byte for byte.
+// more day that leaves it equal to the reference corpus over [0, k+1)
+// and survives a reopen byte for byte. The fixture's device returns to
+// a /64 every 7 days, so for k ≥ 7 that day repeats an address the
+// reopened store only knows from its journal.
 func TestStoreOpensEveryTornPrefix(t *testing.T) {
 	const days, devices = 12, 1
 	dir := t.TempDir()
@@ -363,9 +385,11 @@ func TestStoreOpensEveryTornPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]byte, days+1)
+	want := make([][]byte, days+2)
+	wantUniq := make([][2]int, days+2)
 	for k := range want {
-		want[k] = corpusBytes(t, batchCorpusThrough(k, devices))
+		ref := batchCorpusThrough(k, devices)
+		want[k], wantUniq[k] = corpusBytes(t, ref), uniqueAddrs(ref)
 	}
 	path := filepath.Join(dir, "cut.journal")
 	for cut := 0; cut <= len(journal); cut++ {
@@ -386,14 +410,25 @@ func TestStoreOpensEveryTornPrefix(t *testing.T) {
 		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, want[k]) {
 			t.Fatalf("cut %d: %d-day store saves\n%s\nwant\n%s", cut, k, b, want[k])
 		}
+		if u := uniqueAddrs(st.Corpus()); u != wantUniq[k] {
+			t.Fatalf("cut %d: %d-day store counts unique addrs %v, want %v", cut, k, u, wantUniq[k])
+		}
 		ingestFixtureDay(t, st, k, devices)
-		before := corpusBytes(t, st.Corpus())
+		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, want[k+1]) {
+			t.Fatalf("cut %d: store after day %d saves\n%s\nwant\n%s", cut, k, b, want[k+1])
+		}
+		if u := uniqueAddrs(st.Corpus()); u != wantUniq[k+1] {
+			t.Fatalf("cut %d: store after day %d counts unique addrs %v, want %v", cut, k, u, wantUniq[k+1])
+		}
 		st.Close()
 		if st, err = scentd.OpenStore(path, fixtureRIB()); err != nil {
 			t.Fatalf("cut %d: reopening after day %d: %v", cut, k, err)
 		}
-		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, before) {
-			t.Fatalf("cut %d: day %d did not survive a reopen:\n%s\nwant\n%s", cut, k, b, before)
+		if b := corpusBytes(t, st.Corpus()); !bytes.Equal(b, want[k+1]) {
+			t.Fatalf("cut %d: day %d did not survive a reopen:\n%s\nwant\n%s", cut, k, b, want[k+1])
+		}
+		if u := uniqueAddrs(st.Corpus()); u != wantUniq[k+1] {
+			t.Fatalf("cut %d: reopened store counts unique addrs %v, want %v", cut, u, wantUniq[k+1])
 		}
 		st.Close()
 	}
