@@ -646,11 +646,12 @@ func BenchmarkAblation_ZmapVsYarrp(b *testing.B) {
 	p, _ := w.ProviderByASN(65001)
 	ts, _ := zmap.NewSubnetTargets([]ip6.Prefix{p.Pools[0].Prefix}, 56, 1)
 	src := ip6.MustParseAddr("2620:11f:7000::53")
+	loopback := func(int) (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil }
 
 	b.Run("zmap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts,
-				zmap.Config{Source: src, Seed: uint64(i)}, nil)
+			st, err := zmap.ScanWorkers(context.Background(), loopback, ts,
+				zmap.Config{Source: src, Seed: uint64(i), Workers: 1}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -659,8 +660,8 @@ func BenchmarkAblation_ZmapVsYarrp(b *testing.B) {
 	})
 	b.Run("yarrp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := yarrp.Trace(context.Background(), zmap.NewLoopback(w, 0), ts,
-				yarrp.Config{Source: src, MaxTTL: 16, Seed: uint64(i)}, nil)
+			st, err := zmap.ScanWorkers(context.Background(), loopback, ts,
+				zmap.Config{Source: src, Seed: uint64(i), Workers: 1, Module: yarrp.HopLimitModule{MaxTTL: 16}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -671,8 +672,8 @@ func BenchmarkAblation_ZmapVsYarrp(b *testing.B) {
 	// scan, reaching echo-filtering edges.
 	b.Run("zmap-udp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts,
-				zmap.Config{Source: src, Seed: uint64(i), Module: zmap.UDPModule{}}, nil)
+			st, err := zmap.ScanWorkers(context.Background(), loopback, ts,
+				zmap.Config{Source: src, Seed: uint64(i), Workers: 1, Module: zmap.UDPModule{}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -683,8 +684,8 @@ func BenchmarkAblation_ZmapVsYarrp(b *testing.B) {
 	// observable survives edges that filter ICMPv6 wholesale.
 	b.Run("zmap-tcp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st, err := zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts,
-				zmap.Config{Source: src, Seed: uint64(i), Module: zmap.TCPSynModule{}}, nil)
+			st, err := zmap.ScanWorkers(context.Background(), loopback, ts,
+				zmap.Config{Source: src, Seed: uint64(i), Workers: 1, Module: zmap.TCPSynModule{}}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -727,8 +728,9 @@ func BenchmarkAblation_ProbeModalities(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				found := map[ip6.Addr]bool{}
 				var mu sync.Mutex
-				_, err := zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), targets,
-					zmap.Config{Source: src, Seed: 9, Module: module},
+				_, err := zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) {
+					return zmap.NewLoopback(w, 0), nil
+				}, targets, zmap.Config{Source: src, Seed: 9, Workers: 1, Module: module},
 					func(r zmap.Result) {
 						if pool.Prefix.Contains(r.From) {
 							mu.Lock()

@@ -747,6 +747,9 @@ func runTraceSweep(ctx context.Context, env *experiments.Env, args []string) err
 	if o.prefix == "" {
 		return fmt.Errorf("trace: -prefix is required")
 	}
+	if o.maxTTL < 1 || o.maxTTL > 255 {
+		return fmt.Errorf("trace: -max-ttl %d out of range 1..255", o.maxTTL)
+	}
 	p, err := ip6.ParsePrefix(o.prefix)
 	if err != nil {
 		return err
@@ -755,16 +758,10 @@ func runTraceSweep(ctx context.Context, env *experiments.Env, args []string) err
 	if err != nil {
 		return err
 	}
+	cfg := env.Scanner.Config
+	cfg.Module = yarrp.HopLimitModule{MaxTTL: o.maxTTL}
 	col := yarrp.NewCollector()
-	cfg := yarrp.Config{
-		Source:   env.Scanner.Config.Source,
-		MaxTTL:   o.maxTTL,
-		Seed:     env.Scanner.Config.Seed,
-		Workers:  env.Scanner.Config.Workers,
-		Rate:     env.Scanner.Config.Rate,
-		Cooldown: env.Scanner.Config.Cooldown,
-	}
-	st, err := yarrp.TraceWorkers(ctx, func(int) (zmap.Transport, error) {
+	st, err := zmap.ScanWorkers(ctx, func(int) (zmap.Transport, error) {
 		return env.Scanner.NewTransport()
 	}, ts, cfg, col.Add)
 	if err != nil {

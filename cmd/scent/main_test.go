@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"followscent/internal/simnet"
+	"followscent/internal/zmap"
 )
 
 // The CLI's command funcs run against the in-process test world; output
@@ -57,8 +59,24 @@ func TestRunTraceSweep(t *testing.T) {
 	if err := runTraceSweep(context.Background(), env, []string{"-prefix", "bogus"}); err == nil {
 		t.Fatal("bad prefix accepted")
 	}
-	if err := runTraceSweep(context.Background(), env, []string{"-prefix", "2001:db8:10::/48", "-max-ttl", "999"}); err == nil {
-		t.Fatal("bad -max-ttl accepted")
+	// An out-of-range sweep depth is refused before any probe: exit 1,
+	// no transport opened.
+	opened := 0
+	env.Scanner.NewTransport = func() (zmap.Transport, error) {
+		opened++
+		return zmap.NewLoopback(env.World, 0), nil
+	}
+	for _, ttl := range []string{"0", "256", "999"} {
+		err := runTraceSweep(context.Background(), env, []string{"-prefix", "2001:db8:10::/48", "-max-ttl", ttl})
+		if err == nil || !strings.Contains(err.Error(), "-max-ttl "+ttl+" out of range") {
+			t.Fatalf("-max-ttl %s: err = %v", ttl, err)
+		}
+		if code := finish(err, "", nil); code != 1 {
+			t.Fatalf("-max-ttl %s: exit %d, want 1", ttl, code)
+		}
+	}
+	if opened != 0 {
+		t.Fatalf("%d transports opened for refused sweeps", opened)
 	}
 }
 

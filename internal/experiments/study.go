@@ -89,14 +89,10 @@ func (s *Study) RunSeed(ctx context.Context) error {
 	s.Cfg.fill()
 	back := simnet.Epoch.Add(-time.Duration(s.Cfg.SeedAgeDays) * 24 * time.Hour)
 	err := s.Env.At(back, func() error {
-		records, err := seed.Generate(ctx, s.Env.Scanner.NewTransport, s.Env.World.RIB(), seed.Config{
-			Vantage:      Vantage,
+		records, err := seed.Generate(ctx, s.Env.Scanner, s.Env.World.RIB(), seed.Config{
 			MaxTTL:       8,
 			Seed:         s.Cfg.Salt,
 			TargetsPer48: s.Cfg.SeedTargetsPer48,
-			Workers:      s.Env.Scanner.Config.Workers,
-			Rate:         s.Env.Scanner.Config.Rate,
-			Cooldown:     s.Env.Scanner.Config.Cooldown,
 		})
 		s.SeedRecords = records
 		return err

@@ -5,7 +5,7 @@
 //
 // The real study used a CAIDA campaign from March-April 2019 — more than
 // a year older than the measurements it seeded. The generator here runs
-// a yarrp sweep over whatever network the supplied transport reaches
+// a yarrp sweep over whatever network the supplied scanner reaches
 // (normally the simulator with its clock wound back), producing records
 // with the same schema and the same staleness properties: devices that
 // have since churned away appear in the seed but no longer respond.
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"followscent/internal/bgp"
 	"followscent/internal/ip6"
@@ -36,13 +35,14 @@ type Record struct {
 // selection criterion for the pipeline's seed set.
 func (r Record) IsEUI() bool { return ip6.AddrIsEUI64(r.LastHop) }
 
-// Config tunes seed generation.
+// Config tunes seed generation. The engine knobs — vantage address,
+// workers, batch width, pacing and cooldown — come from the scanner
+// handed to Generate.
 type Config struct {
-	// Vantage is the tracing source address.
-	Vantage ip6.Addr
-	// MaxTTL bounds the traceroute depth (default 12).
+	// MaxTTL bounds the traceroute depth (default 12, at most 255).
 	MaxTTL int
-	// Seed randomizes target IIDs and probe order.
+	// Seed randomizes target IIDs, probe order and validation; it is the
+	// sweep's engine seed as given, not mixed with the scanner's.
 	Seed uint64
 	// MaxPrefixBits skips advertisements shorter than /32, as the CAIDA
 	// campaign targets "networks /32 or smaller".
@@ -52,25 +52,20 @@ type Config struct {
 	// a few more to keep per-/48 hit statistics comparable; see
 	// DESIGN.md's scaling notes.
 	TargetsPer48 int
-	// Workers is the number of concurrent trace workers (zmap engine
-	// semantics: 0 means GOMAXPROCS), each drawing its own transport
-	// from the factory handed to Generate. The traced (target, ttl) set
-	// — and so the seed records — is identical for every worker count.
-	Workers int
-	// Rate and Cooldown pace the sweep and hold the receive window open
-	// after the last probe — needed on wire transports.
-	Rate     int
-	Cooldown time.Duration
 }
 
 // Generate runs the traceroute campaign: one random target per /48 of
-// every routed prefix of length >= MaxPrefixBits (default 32), tracing
-// with yarrp's hop-limit module on the shared scan engine and keeping
-// each /48's last responsive hop. newTransport is invoked once per
-// worker, zmap.TransportFactory-style.
-func Generate(ctx context.Context, newTransport func() (zmap.Transport, error), rib *bgp.Table, cfg Config) ([]Record, error) {
+// every routed prefix of length >= MaxPrefixBits (default 32), swept
+// with yarrp's hop-limit module under sc's engine configuration (each
+// worker drawing its own transport from sc) and keeping each /48's last
+// responsive hop. The traced (target, ttl) set — and so the seed
+// records — is identical for every worker count and batch width.
+func Generate(ctx context.Context, sc *zmap.Scanner, rib *bgp.Table, cfg Config) ([]Record, error) {
 	if cfg.MaxTTL == 0 {
 		cfg.MaxTTL = 12
+	}
+	if cfg.MaxTTL < 1 || cfg.MaxTTL > 255 {
+		return nil, fmt.Errorf("seed: MaxTTL %d out of range 1..255", cfg.MaxTTL)
 	}
 	if cfg.MaxPrefixBits == 0 {
 		cfg.MaxPrefixBits = 32
@@ -92,18 +87,12 @@ func Generate(ctx context.Context, newTransport func() (zmap.Transport, error), 
 	if err != nil {
 		return nil, err
 	}
-	// The campaign rides the engine's source layer explicitly: the
-	// routed-/48 target set walked through one cyclic permutation, so the
-	// traced (target, ttl) set is byte-identical for every worker count.
+	zcfg := sc.Config
+	zcfg.Seed = cfg.Seed
+	zcfg.Module = yarrp.HopLimitModule{MaxTTL: cfg.MaxTTL}
 	col := yarrp.NewCollector()
-	if _, err := yarrp.TraceSource(ctx, func(int) (zmap.Transport, error) { return newTransport() }, zmap.NewPermutedSource(ts), yarrp.Config{
-		Source:   cfg.Vantage,
-		MaxTTL:   cfg.MaxTTL,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Rate:     cfg.Rate,
-		Cooldown: cfg.Cooldown,
-	}, col.Add); err != nil {
+	factory := func(int) (zmap.Transport, error) { return sc.NewTransport() }
+	if _, err := zmap.ScanWorkers(ctx, factory, ts, zcfg, col.Add); err != nil {
 		return nil, fmt.Errorf("seed: tracing: %w", err)
 	}
 

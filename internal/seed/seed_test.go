@@ -3,6 +3,8 @@ package seed
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -46,16 +48,47 @@ func seedWorld(seedVal uint64) *simnet.World {
 	})
 }
 
+// scanner probes w from the vantage, one loopback per worker.
+func scanner(w *simnet.World, workers, batch int) *zmap.Scanner {
+	return &zmap.Scanner{
+		NewTransport: func() (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil },
+		Config:       zmap.Config{Source: vantage, Workers: workers, Batch: batch},
+	}
+}
+
+var testConfig = Config{MaxTTL: 8, Seed: 3, TargetsPer48: 8, MaxPrefixBits: 40}
+
 func generate(t *testing.T, w *simnet.World) []Record {
 	t.Helper()
-	records, err := Generate(context.Background(),
-		func() (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil },
-		w.RIB(),
-		Config{Vantage: vantage, MaxTTL: 8, Seed: 3, TargetsPer48: 8, MaxPrefixBits: 40})
+	records, err := Generate(context.Background(), scanner(w, 1, 0), w.RIB(), testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return records
+}
+
+// TestGenerateGolden pins the seed dataset's bytes: one digest at every
+// worker count and batch width, so a change that moves any seed record
+// shows here.
+func TestGenerateGolden(t *testing.T) {
+	const want = "f4ca5b93d66e6a1a798586b0dd6236ba90fbaf66690ff767725d459afcf37b6a"
+	for _, workers := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 8} {
+			w := seedWorld(54)
+			records, err := Generate(context.Background(), scanner(w, workers, batch), w.RIB(), testConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, records); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+				t.Errorf("workers=%d batch=%d: %d records, sha256 %s, want %s",
+					workers, batch, len(records), got, want)
+			}
+		}
+	}
 }
 
 func TestGenerateFindsEUILastHops(t *testing.T) {
@@ -154,10 +187,26 @@ func TestReadErrors(t *testing.T) {
 
 func TestGenerateErrors(t *testing.T) {
 	w := seedWorld(53)
-	_, err := Generate(context.Background(),
-		func() (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil },
-		w.RIB(), Config{Vantage: vantage, MaxPrefixBits: 49})
-	if err == nil {
-		t.Error("no error for empty root set")
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{MaxPrefixBits: 49}, "seed: no routed prefixes of /49 or longer"},
+		{Config{MaxTTL: 256}, "seed: MaxTTL 256 out of range 1..255"},
+		{Config{MaxTTL: -1}, "seed: MaxTTL -1 out of range 1..255"},
+	} {
+		opened := 0
+		sc := scanner(w, 1, 0)
+		sc.NewTransport = func() (zmap.Transport, error) {
+			opened++
+			return zmap.NewLoopback(w, 0), nil
+		}
+		_, err := Generate(context.Background(), sc, w.RIB(), tc.cfg)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: err = %v, want %q", tc.cfg, err, tc.want)
+		}
+		if opened != 0 {
+			t.Errorf("%+v: %d transports opened before the refusal", tc.cfg, opened)
+		}
 	}
 }

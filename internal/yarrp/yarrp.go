@@ -9,19 +9,17 @@
 // one full-hop-limit probe per customer prefix and hears only from the
 // CPE. The benchmark harness quantifies that gap (Figure 2's ablation).
 //
-// The prober itself is a thin zmap.ProbeModule: HopLimitModule plugs the
-// (target × TTL) sweep into the shared scan engine, inheriting its
-// multi-worker parallelism, sharding, pacing and the loopback Exchanger
-// fast path. This package adds only the TTL encoding and the path
-// reconstruction helpers.
+// The prober itself is a thin zmap.ProbeModule: a sweep is a zmap.Config
+// whose Module is HopLimitModule{MaxTTL}, run through the engine like
+// any scan, so it inherits multi-worker parallelism, sharding, pacing
+// and the loopback Exchanger fast path. This package adds only the TTL
+// encoding and the path reconstruction helpers: Collector.Add is a
+// zmap.Handler that turns the sweep's Results into per-target paths.
 package yarrp
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"followscent/internal/icmp6"
 	"followscent/internal/ip6"
@@ -37,39 +35,6 @@ type Hop struct {
 	Code   uint8
 }
 
-// Config tunes a trace sweep.
-type Config struct {
-	// Source is the vantage address.
-	Source ip6.Addr
-	// MaxTTL bounds the hop-limit sweep (default 16).
-	MaxTTL int
-	// Seed randomizes probe order and validation.
-	Seed uint64
-	// Workers is the number of concurrent sender/receiver pairs, with
-	// zmap engine semantics: Trace keeps its historical single-worker
-	// contract at 0, TraceWorkers resolves 0 to GOMAXPROCS. The swept
-	// (target, ttl) set is identical for every worker count.
-	Workers int
-	// Rate and Cooldown carry the zmap engine's pacing and post-send
-	// receive window — needed on asynchronous wire transports; the
-	// loopback needs neither.
-	Rate     int
-	Cooldown time.Duration
-}
-
-// Stats summarizes a sweep.
-type Stats struct {
-	Sent     uint64
-	Received uint64
-	Matched  uint64
-	Invalid  uint64
-	SendTime time.Duration // wall time of the send phase, as zmap.Stats
-}
-
-// Handler consumes hops. Calls are serialized by the engine's merge
-// stage, as with zmap.Handler.
-type Handler func(Hop)
-
 // HopLimitModule implements zmap.ProbeModule: echo requests swept over
 // hop limits 1..MaxTTL, the TTL riding in the echo sequence field —
 // yarrp's trick for recovering the probed hop from the quoted packet
@@ -77,7 +42,8 @@ type Handler func(Hop)
 // targets × MaxTTL positions of one cyclic permutation.
 type HopLimitModule struct {
 	// MaxTTL bounds the sweep; each target is probed at every hop limit
-	// in [1, MaxTTL].
+	// in [1, MaxTTL]. A hop limit is one byte, so MaxTTL must lie in
+	// 1..255; callers check it where the value enters.
 	MaxTTL int
 }
 
@@ -151,67 +117,6 @@ func (m HopLimitModule) Validate(cfg *zmap.Config, pkt *icmp6.Packet) (zmap.Resu
 	return zmap.Result{}, false
 }
 
-// engineConfig maps a sweep Config onto the shared engine.
-func engineConfig(cfg Config) (zmap.Config, error) {
-	if cfg.MaxTTL == 0 {
-		cfg.MaxTTL = 16
-	}
-	if cfg.MaxTTL < 1 || cfg.MaxTTL > 255 {
-		return zmap.Config{}, fmt.Errorf("yarrp: MaxTTL %d out of range", cfg.MaxTTL)
-	}
-	return zmap.Config{
-		Source:   cfg.Source,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Rate:     cfg.Rate,
-		Cooldown: cfg.Cooldown,
-		Module:   HopLimitModule{MaxTTL: cfg.MaxTTL},
-	}, nil
-}
-
-// hopHandler adapts a Hop handler to the engine's Result stream.
-func hopHandler(h Handler) zmap.Handler {
-	if h == nil {
-		return nil
-	}
-	return func(r zmap.Result) {
-		h(Hop{Target: r.Target, TTL: int(r.Seq), From: r.From, Type: r.Type, Code: r.Code})
-	}
-}
-
-// Trace probes every (target, ttl) pair in pseudorandom order through
-// tr. With cfg.Workers unset it keeps the historical single-worker
-// contract; setting Workers > 1 shares tr across workers (Loopback and
-// UDP tolerate that). TraceWorkers gives each worker its own transport.
-func Trace(ctx context.Context, tr zmap.Transport, ts zmap.TargetSet, cfg Config, h Handler) (Stats, error) {
-	zcfg, err := engineConfig(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	st, err := zmap.Scan(ctx, tr, ts, zcfg, hopHandler(h))
-	return Stats(st), err
-}
-
-// TraceWorkers runs a multi-worker sweep: cfg.Workers workers (0 means
-// GOMAXPROCS), each with its own transport from the factory, partition
-// the (target × TTL) permutation exactly as zmap.ScanWorkers partitions
-// a scan — the swept set is byte-identical for every worker count.
-func TraceWorkers(ctx context.Context, factory zmap.TransportFactory, ts zmap.TargetSet, cfg Config, h Handler) (Stats, error) {
-	return TraceSource(ctx, factory, zmap.NewPermutedSource(ts), cfg, h)
-}
-
-// TraceSource runs a sweep over an arbitrary target source — the
-// hop-limit module composed with the engine's source layer, so a sweep
-// can ride a generator-backed or feedback source exactly like any scan.
-func TraceSource(ctx context.Context, factory zmap.TransportFactory, src zmap.TargetSource, cfg Config, h Handler) (Stats, error) {
-	zcfg, err := engineConfig(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	st, err := zmap.ScanSource(ctx, factory, src, zcfg, hopHandler(h))
-	return Stats(st), err
-}
-
 // validationID is the sweep's per-target validation field. (Kept as the
 // historical yarrp hash — distinct from zmap's — so seed datasets remain
 // byte-stable across the engine unification.)
@@ -248,13 +153,15 @@ type Collector struct {
 	paths map[ip6.Addr]*Path
 }
 
-// NewCollector returns an empty collector; its Add method is a Handler.
+// NewCollector returns an empty collector; its Add method is a
+// zmap.Handler.
 func NewCollector() *Collector {
 	return &Collector{paths: make(map[ip6.Addr]*Path)}
 }
 
-// Add records one hop.
-func (c *Collector) Add(h Hop) {
+// Add records one sweep result as a hop; Result.Seq carries its TTL.
+func (c *Collector) Add(r zmap.Result) {
+	h := Hop{Target: r.Target, TTL: int(r.Seq), From: r.From, Type: r.Type, Code: r.Code}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p, ok := c.paths[h.Target]

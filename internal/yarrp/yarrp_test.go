@@ -15,6 +15,14 @@ import (
 
 var vantage = ip6.MustParseAddr("2001:db8:ffff::53")
 
+// sweep runs a hop-limit sweep over ts against w, one loopback per
+// worker.
+func sweep(w *simnet.World, ts zmap.TargetSet, maxTTL int, seed uint64, workers int, h zmap.Handler) (zmap.Stats, error) {
+	return zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) {
+		return zmap.NewLoopback(w, 0), nil
+	}, ts, zmap.Config{Source: vantage, Seed: seed, Workers: workers, Module: HopLimitModule{MaxTTL: maxTTL}}, h)
+}
+
 func TestTraceDiscoversPathAndCPE(t *testing.T) {
 	w := simnet.TestWorld(31)
 	p, _ := w.ProviderByASN(65001) // 3 router hops
@@ -35,8 +43,7 @@ func TestTraceDiscoversPathAndCPE(t *testing.T) {
 	}
 
 	col := NewCollector()
-	stats, err := Trace(context.Background(), zmap.NewLoopback(w, 0), zmap.AddrTargets{target},
-		Config{Source: vantage, MaxTTL: 8, Seed: 77}, col.Add)
+	stats, err := sweep(w, zmap.AddrTargets{target}, 8, 77, 1, col.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +89,15 @@ func TestTraceTTLEncoding(t *testing.T) {
 	p, _ := w.ProviderByASN(65002) // 4 router hops
 	pool := p.Pools[0]
 	target := pool.Prefix.RandomAddr(1, 2)
-	hops := map[int]Hop{}
-	_, err := Trace(context.Background(), zmap.NewLoopback(w, 0), zmap.AddrTargets{target},
-		Config{Source: vantage, MaxTTL: 6, Seed: 5}, func(h Hop) { hops[h.TTL] = h })
-	if err != nil {
+	col := NewCollector()
+	if _, err := sweep(w, zmap.AddrTargets{target}, 6, 5, 1, col.Add); err != nil {
 		t.Fatal(err)
+	}
+	hops := map[int]Hop{}
+	for _, p := range col.Paths() {
+		for _, h := range p.Hops {
+			hops[h.TTL] = h
+		}
 	}
 	// TTLs 1..4 hit routers; each reported TTL matches a distinct hop.
 	for ttl := 1; ttl <= 4; ttl++ {
@@ -106,16 +117,6 @@ func TestTraceTTLEncoding(t *testing.T) {
 	}
 }
 
-func TestTraceErrors(t *testing.T) {
-	w := simnet.TestWorld(33)
-	if _, err := Trace(context.Background(), zmap.NewLoopback(w, 0), zmap.AddrTargets{}, Config{}, nil); err == nil {
-		t.Error("empty targets accepted")
-	}
-	if _, err := Trace(context.Background(), zmap.NewLoopback(w, 0), zmap.AddrTargets{vantage}, Config{MaxTTL: 999}, nil); err == nil {
-		t.Error("bad MaxTTL accepted")
-	}
-}
-
 func TestProbeCostVsZmap(t *testing.T) {
 	// The efficiency claim of §3.1: enumerating the CPE in a /48 of /56
 	// delegations costs yarrp MaxTTL probes per /56, zmap exactly one.
@@ -124,13 +125,13 @@ func TestProbeCostVsZmap(t *testing.T) {
 	pool := p.Pools[0]
 	ts, _ := zmap.NewSubnetTargets([]ip6.Prefix{pool.Prefix}, 56, 9)
 
-	zStats, err := zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts,
-		zmap.Config{Source: vantage, Seed: 9}, nil)
+	zStats, err := zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) {
+		return zmap.NewLoopback(w, 0), nil
+	}, ts, zmap.Config{Source: vantage, Seed: 9, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yStats, err := Trace(context.Background(), zmap.NewLoopback(w, 0), ts,
-		Config{Source: vantage, MaxTTL: 16, Seed: 9}, nil)
+	yStats, err := sweep(w, ts, 16, 9, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +150,17 @@ func TestProbeCostVsZmap(t *testing.T) {
 // craft each probe byte-for-byte as the original single-threaded loop
 // did (echo request, TTL in the sequence field and the IPv6 hop-limit
 // byte), and answer it straight through the world. The hop set it
-// returns is the seed-tree ground truth the engine-backed Trace must
+// returns is the seed-tree ground truth the engine-backed sweep must
 // reproduce exactly.
-func referenceSweep(t *testing.T, w *simnet.World, ts zmap.TargetSet, cfg Config) []Hop {
+func referenceSweep(t *testing.T, w *simnet.World, ts zmap.TargetSet, maxTTL int, seed uint64) []Hop {
 	t.Helper()
-	domain := ts.Len() * uint64(cfg.MaxTTL)
-	cyc, err := zmap.NewCycle(domain, cfg.Seed)
+	domain := ts.Len() * uint64(maxTTL)
+	cyc, err := zmap.NewCycle(domain, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := HopLimitModule{MaxTTL: cfg.MaxTTL}
-	zcfg := &zmap.Config{Source: cfg.Source, Seed: cfg.Seed}
+	mod := HopLimitModule{MaxTTL: maxTTL}
+	zcfg := &zmap.Config{Source: vantage, Seed: seed}
 	var out []Hop
 	var buf []byte
 	for {
@@ -167,9 +168,9 @@ func referenceSweep(t *testing.T, w *simnet.World, ts zmap.TargetSet, cfg Config
 		if !ok {
 			break
 		}
-		target := ts.At(i / uint64(cfg.MaxTTL))
-		ttl := int(i%uint64(cfg.MaxTTL)) + 1
-		pkt := icmp6.AppendEchoRequest(nil, cfg.Source, target, validationID(cfg.Seed, target), uint16(ttl), nil)
+		target := ts.At(i / uint64(maxTTL))
+		ttl := int(i%uint64(maxTTL)) + 1
+		pkt := icmp6.AppendEchoRequest(nil, vantage, target, validationID(seed, target), uint16(ttl), nil)
 		pkt[7] = uint8(ttl)
 		resp, ok := w.HandlePacket(pkt, buf[:0])
 		if !ok {
@@ -203,13 +204,14 @@ func sortHops(hops []Hop) []Hop {
 	return out
 }
 
-// TestTraceMatchesReferenceSweep proves the engine-backed Trace keeps
-// the seed-tree semantics: for every worker count the discovered hop
-// set is identical to the sequential first-principles sweep (same
-// permutation, same TTL mapping, same validation ids, and so the same
-// per-probe loss/response draws in the simulator).
+// TestTraceMatchesReferenceSweep proves the hop-limit module on the
+// engine keeps the seed-tree semantics: for every worker count the hop
+// set the Collector reconstructs is identical to the sequential
+// first-principles sweep (same permutation, same TTL mapping, same
+// validation ids, and so the same per-probe loss/response draws in the
+// simulator).
 func TestTraceMatchesReferenceSweep(t *testing.T) {
-	cfg := Config{Source: vantage, MaxTTL: 5, Seed: 91}
+	const maxTTL, seed = 5, 91
 	mkTargets := func(w *simnet.World) zmap.TargetSet {
 		p, _ := w.ProviderByASN(65001)
 		ts, err := zmap.NewSubnetTargets([]ip6.Prefix{p.Pools[0].Prefix}, 56, 13)
@@ -219,20 +221,20 @@ func TestTraceMatchesReferenceSweep(t *testing.T) {
 		return ts
 	}
 	refWorld := simnet.TestWorld(36)
-	want := sortHops(referenceSweep(t, refWorld, mkTargets(refWorld), cfg))
+	want := sortHops(referenceSweep(t, refWorld, mkTargets(refWorld), maxTTL, seed))
 	if len(want) == 0 {
 		t.Fatal("reference sweep heard nothing")
 	}
 
 	for _, workers := range []int{1, 3} {
 		w := simnet.TestWorld(36) // fresh world: same seed, fresh rate-limit state
-		c := cfg
-		c.Workers = workers
-		var got []Hop
-		_, err := Trace(context.Background(), zmap.NewLoopback(w, 0), mkTargets(w), c,
-			func(h Hop) { got = append(got, h) }) // handler serialized by the merge stage
-		if err != nil {
+		col := NewCollector()
+		if _, err := sweep(w, mkTargets(w), maxTTL, seed, workers, col.Add); err != nil {
 			t.Fatal(err)
+		}
+		var got []Hop
+		for _, p := range col.Paths() {
+			got = append(got, p.Hops...)
 		}
 		gotSorted := sortHops(got)
 		if len(gotSorted) != len(want) {
@@ -330,16 +332,14 @@ func TestTraceWorkerDeterminism(t *testing.T) {
 		ip6.MustParseAddr("2001:db8:3::3"),
 		ip6.MustParseAddr("2001:db8:4::4"),
 	}
-	cfg := Config{Source: vantage, MaxTTL: 7, Seed: 23}
+	const maxTTL = 7
 
 	record := func(workers int) [][]ttlProbe {
-		c := cfg
-		c.Workers = workers
 		recs := make([]*recTransport, workers)
-		_, err := TraceWorkers(context.Background(), func(w int) (zmap.Transport, error) {
+		_, err := zmap.ScanWorkers(context.Background(), func(w int) (zmap.Transport, error) {
 			recs[w] = newRecTransport()
 			return recs[w], nil
-		}, ts, c, nil)
+		}, ts, zmap.Config{Source: vantage, Seed: 23, Workers: workers, Module: HopLimitModule{MaxTTL: maxTTL}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,8 +351,8 @@ func TestTraceWorkerDeterminism(t *testing.T) {
 	}
 
 	seq := record(1)[0]
-	if len(seq) != len(ts)*cfg.MaxTTL {
-		t.Fatalf("sequential sweep sent %d probes, want %d", len(seq), len(ts)*cfg.MaxTTL)
+	if len(seq) != len(ts)*maxTTL {
+		t.Fatalf("sequential sweep sent %d probes, want %d", len(seq), len(ts)*maxTTL)
 	}
 	want := sortTTLProbes(seq)
 
@@ -421,9 +421,7 @@ func BenchmarkTrace(b *testing.B) {
 	targets := zmap.AddrTargets{pool.Prefix.RandomAddr(1, 2)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Trace(context.Background(), zmap.NewLoopback(w, 0), targets,
-			Config{Source: vantage, MaxTTL: 16, Seed: uint64(i)}, nil)
-		if err != nil {
+		if _, err := sweep(w, targets, 16, uint64(i), 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

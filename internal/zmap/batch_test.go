@@ -64,9 +64,10 @@ func diffKeys(t *testing.T, label string, want, got []string) {
 // TestScanBatchLoopbackEquivalence pins batched scans over the
 // in-process transport (through the batch-over-single adapter — the
 // Loopback has no native vectored path) to the per-packet baseline:
-// identical result sets at batch widths 7 and 64, workers 1, 2 and 4.
-// The world is rebuilt per scan so stateful simulation (rate limiters)
-// starts identically for every configuration under comparison.
+// identical result sets at batch widths 7 and 64, workers 1, 2 and 4,
+// each worker on its own loopback. The world is rebuilt per scan so
+// stateful simulation (rate limiters) starts identically for every
+// configuration under comparison.
 func TestScanBatchLoopbackEquivalence(t *testing.T) {
 	source := ip6.MustParseAddr("2620:11f:7000::53")
 	pool := simnet.TestWorld(21).Providers()[0].Pools[0]
@@ -78,7 +79,9 @@ func TestScanBatchLoopbackEquivalence(t *testing.T) {
 		w := simnet.TestWorld(21)
 		cfg := zmap.Config{Source: source, Seed: 17, Workers: workers, Batch: batch}
 		return collectScan(t, ts.Len(), func(h zmap.Handler) (zmap.Stats, error) {
-			return zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts, cfg, h)
+			return zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) {
+				return zmap.NewLoopback(w, 0), nil
+			}, ts, cfg, h)
 		})
 	}
 	baseline := run(1, 0)

@@ -81,6 +81,15 @@ func (c *Checkpoint) compatible(cfg *Config) error {
 		return fmt.Errorf("zmap: checkpoint multiplier %d does not match module multiplier %d",
 			c.Multiplier, cfg.multiplier())
 	}
+	// A resumed worker walks from its mark's attempt pass onward, so a
+	// mark outside the scan's passes would re-walk the shard or corrupt
+	// the packed progress word.
+	for w, m := range c.Marks {
+		if m.Attempt < 0 || m.Attempt > c.Attempts || m.Done > markMask {
+			return fmt.Errorf("zmap: checkpoint worker %d mark (attempt %d, done %d) out of range: attempt 0..%d, done at most %d",
+				w, m.Attempt, m.Done, c.Attempts, uint64(markMask))
+		}
+	}
 	return nil
 }
 

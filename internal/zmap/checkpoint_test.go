@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	"followscent/internal/icmp6"
+	"followscent/internal/ip6"
 )
 
 // echoResponder answers echo requests purely as a function of the probe
@@ -274,6 +276,115 @@ func TestCheckpointRejectsMismatchedConfig(t *testing.T) {
 			t.Errorf("%s mismatch accepted", name)
 		}
 	}
+}
+
+// TestCheckpointRejectsOutOfRangeMarks pins the mark bounds: a resumed
+// worker walks from its mark's attempt pass onward, so a mark below
+// pass 0 would re-walk the shard (Attempt -5 walks it six times), and a
+// mark past the last pass or beyond the packed progress word names no
+// position of the scan. Compatible refuses each, and so does the engine,
+// before any probe.
+func TestCheckpointRejectsOutOfRangeMarks(t *testing.T) {
+	ts := testTargets(t)
+	cfg := Config{Source: vantage, Seed: 42, Workers: 1}
+	for name, m := range map[string]WorkerMark{
+		"negative attempt":           {Attempt: -5},
+		"attempt past the last pass": {Attempt: 2},
+		"done beyond the mark word":  {Done: markMask + 1},
+	} {
+		cp := &Checkpoint{
+			Version: checkpointVersion, Seed: 42, Shards: 1, Workers: 1,
+			Attempts: 1, Multiplier: 1, Marks: []WorkerMark{m},
+		}
+		if err := cp.Compatible(cfg); err == nil {
+			t.Errorf("%s: Compatible accepted %+v", name, m)
+		}
+		rcfg := cfg
+		rcfg.Resume = cp
+		st, err := ScanWorkers(context.Background(),
+			faultFactory(func(int) FaultPlan { return FaultPlan{} }), ts, rcfg, nil)
+		if err == nil || st.Sent != 0 {
+			t.Errorf("%s: resumed scan sent %d probes, err %v; want a refusal before any probe", name, st.Sent, err)
+		}
+	}
+}
+
+// FuzzReadCheckpoint feeds the checkpoint reader arbitrary bytes, seeded
+// with real Progress snapshots. It must never panic; an accepted
+// checkpoint must survive a write/read round trip unchanged; and one
+// that is also Compatible with the small scan it describes must resume
+// that scan without sending more probes than the uninterrupted scan.
+func FuzzReadCheckpoint(f *testing.F) {
+	ts := make(AddrTargets, 16)
+	for i := range ts {
+		ts[i] = ip6.MustParseAddr(fmt.Sprintf("2001:db8:%x::1", i+1))
+	}
+	healthy := faultFactory(func(int) FaultPlan { return FaultPlan{} })
+	for _, workers := range []int{1, 3} {
+		for _, die := range []uint64{0, 4} {
+			// A dying worker ends the scan with a *PartialError; the
+			// snapshot it leaves in prog is what seeds the corpus.
+			prog := NewProgress()
+			_, _ = ScanWorkers(context.Background(), faultFactory(func(w int) FaultPlan {
+				if w == 0 {
+					return FaultPlan{DieAfterSends: die}
+				}
+				return FaultPlan{}
+			}), ts, Config{
+				Source: vantage, Seed: 5, Workers: workers, ProbesPerTarget: 2,
+				Progress: prog, Failure: QuarantineWorker{},
+			}, nil)
+			cp, err := prog.Checkpoint()
+			if err != nil {
+				f.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteCheckpoint(&buf, cp); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("written checkpoint rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, cp) {
+			t.Fatalf("round trip changed the checkpoint: %+v -> %+v", cp, back)
+		}
+		if cp.Workers < 1 || cp.Workers > 4 || cp.Attempts < 1 || cp.Attempts > 3 ||
+			cp.Shards < 1 || cp.Shards > 4 || cp.Shard < 0 || cp.Shard >= cp.Shards {
+			return // not a scan small enough to run here
+		}
+		cfg := Config{
+			Source: vantage, Seed: cp.Seed, Shard: cp.Shard, Shards: cp.Shards,
+			Workers: cp.Workers, ProbesPerTarget: cp.Attempts,
+		}
+		if cp.Compatible(cfg) != nil {
+			return
+		}
+		full, err := ScanWorkers(context.Background(), healthy, ts, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Resume = cp
+		rest, err := ScanWorkers(context.Background(), healthy, ts, cfg, nil)
+		if err != nil {
+			t.Fatalf("compatible checkpoint did not resume: %v", err)
+		}
+		if rest.Sent > full.Sent {
+			t.Fatalf("resume from %+v sent %d probes, the uninterrupted scan %d", cp.Marks, rest.Sent, full.Sent)
+		}
+	})
 }
 
 func TestReadCheckpointRejectsCorrupt(t *testing.T) {

@@ -6,7 +6,7 @@
 //
 // # Architecture
 //
-// The engine (Scan, ScanWorkers, ScanSource, Scanner) owns everything
+// The engine (ScanWorkers, ScanSource, Scanner) owns everything
 // probe-type agnostic: walking target streams, partitioning them across
 // workers and shards so the probed set is byte-identical for every
 // worker count, moving bytes through Transports, pacing, and the stats

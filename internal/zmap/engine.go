@@ -30,17 +30,16 @@ type Config struct {
 	// the positions congruent to Shard modulo Shards. Defaults to 0/1.
 	Shard, Shards int
 	// Workers is the number of concurrent sender/receiver pairs this
-	// instance runs; 0 means GOMAXPROCS (except in plain Scan, which
-	// keeps its historical single-worker contract for the one transport
-	// it is handed). The instance's shard is partitioned into Workers
-	// sub-shards by position, so the probed target set is identical for
-	// every worker count and each worker sends its subsequence in the
-	// sequential engine's order. Scan results are worker-count-invariant
-	// as long as the simulated world's ICMPv6 rate limits are not
-	// saturated: token consumption is arrival-ordered, so which probes a
-	// saturated device drops depends on worker scheduling (exactly as on
-	// a real network — the paper's randomized scan order exists to stay
-	// below those limits).
+	// instance runs, each on its own transport; 0 means GOMAXPROCS. The
+	// instance's shard is partitioned into Workers sub-shards by
+	// position, so the probed target set is identical for every worker
+	// count and each worker sends its subsequence in the sequential
+	// engine's order. Scan results are worker-count-invariant as long
+	// as the simulated world's ICMPv6 rate limits are not saturated:
+	// token consumption is arrival-ordered, so which probes a saturated
+	// device drops depends on worker scheduling (exactly as on a real
+	// network — the paper's randomized scan order exists to stay below
+	// those limits).
 	Workers int
 	// Batch is the width of asynchronous wire I/O: each worker builds
 	// probes into a preallocated ring and moves up to Batch packets per
@@ -141,20 +140,6 @@ type Stats struct {
 // sender+receiver pair (its own socket, against a wire transport).
 type TransportFactory func(worker int) (Transport, error)
 
-// Scan probes every target in ts through tr, invoking h for each
-// validated response. It returns when all probes are sent and the
-// cooldown has elapsed, or when ctx is cancelled. With Workers unset it
-// keeps the historical contract — one sender and one receiver on the
-// caller's transport; setting Workers > 1 shares tr across workers,
-// which the transport must then tolerate (Loopback and UDP do).
-// ScanWorkers gives each worker its own transport instead.
-func Scan(ctx context.Context, tr Transport, ts TargetSet, cfg Config, h Handler) (Stats, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	return scan(ctx, func(int) (Transport, error) { return tr, nil }, true, NewPermutedSource(ts), cfg, h, nil)
-}
-
 // ScanWorkers runs a multi-worker scan over an indexable TargetSet,
 // walked through the cyclic permutation: cfg.Workers workers, each with
 // its own transport from the factory, partition this instance's shard of
@@ -173,13 +158,12 @@ func ScanWorkers(ctx context.Context, factory TransportFactory, ts TargetSet, cf
 // up-front; unbounded sources run until their streams end or the
 // context is cancelled.
 func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource, cfg Config, h Handler) (Stats, error) {
-	return scan(ctx, factory, false, src, cfg, h, nil)
+	return scan(ctx, factory, src, cfg, h, nil)
 }
 
-// scan is the one entry behind every exported scan. shared says the
-// factory hands each worker the caller's single transport, which is
-// then closed once; stop, when non-nil, arms ScanUntil's early stop.
-func scan(ctx context.Context, factory TransportFactory, shared bool, src TargetSource, cfg Config, h Handler, stop *earlyStop) (Stats, error) {
+// scan is the one entry behind every exported scan; stop, when non-nil,
+// arms ScanUntil's early stop.
+func scan(ctx context.Context, factory TransportFactory, src TargetSource, cfg Config, h Handler, stop *earlyStop) (Stats, error) {
 	cfg.fill()
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return Stats{}, fmt.Errorf("zmap: shard %d of %d out of range", cfg.Shard, cfg.Shards)
@@ -285,9 +269,6 @@ func scan(ctx context.Context, factory TransportFactory, shared bool, src Target
 		case <-time.After(cfg.Cooldown):
 		case <-ctx.Done():
 		}
-	}
-	if shared {
-		trs = trs[:1]
 	}
 	for _, tr := range trs {
 		if err := tr.Close(); err != nil {

@@ -13,6 +13,16 @@ import (
 
 var vantage = ip6.MustParseAddr("2001:db8:ffff::53")
 
+// loopbackFactory gives every scan worker its own loopback onto w.
+func loopbackFactory(w *simnet.World) TransportFactory {
+	return func(int) (Transport, error) { return NewLoopback(w, 0), nil }
+}
+
+// soleTransport hands tr to a one-worker scan.
+func soleTransport(tr Transport) TransportFactory {
+	return func(int) (Transport, error) { return tr, nil }
+}
+
 func TestSubnetTargets(t *testing.T) {
 	prefixes := []ip6.Prefix{
 		ip6.MustParsePrefix("2001:db8:1::/48"),
@@ -73,9 +83,10 @@ func TestScanLoopbackEndToEnd(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := map[ip6.Addr]Result{}
-	stats, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: vantage,
-		Seed:   99,
+	stats, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source:  vantage,
+		Seed:    99,
+		Workers: 1,
 	}, func(r Result) {
 		mu.Lock()
 		got[r.From] = r
@@ -125,7 +136,7 @@ func TestScanFindsEUIAddresses(t *testing.T) {
 	pool := p.Pools[0]
 	ts, _ := NewSubnetTargets([]ip6.Prefix{pool.Prefix}, 56, 2)
 	euis := map[uint64]bool{}
-	_, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{Source: vantage, Seed: 3},
+	_, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{Source: vantage, Seed: 3, Workers: 1},
 		func(r Result) {
 			if ip6.AddrIsEUI64(r.From) {
 				euis[r.From.IID()] = true
@@ -160,8 +171,8 @@ func TestScanSharding(t *testing.T) {
 	seen := map[ip6.Addr]int{}
 	var mu sync.Mutex
 	for shard := 0; shard < 3; shard++ {
-		st, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-			Source: vantage, Seed: 5, Shard: shard, Shards: 3,
+		st, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+			Source: vantage, Seed: 5, Shard: shard, Shards: 3, Workers: 1,
 		}, func(r Result) {
 			mu.Lock()
 			seen[r.Target]++
@@ -184,11 +195,31 @@ func TestScanSharding(t *testing.T) {
 	_ = all
 }
 
+// TestScanShardValidation covers the configurations a scan refuses
+// before it opens a transport or sends a probe.
 func TestScanShardValidation(t *testing.T) {
 	w := simnet.TestWorld(24)
-	ts := AddrTargets{vantage}
-	if _, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{Shard: 5, Shards: 3}, nil); err == nil {
-		t.Fatal("invalid shard accepted")
+	for _, tc := range []struct {
+		name string
+		ts   TargetSet
+		cfg  Config
+		want string
+	}{
+		{"shard out of range", AddrTargets{vantage}, Config{Shard: 5, Shards: 3}, "zmap: shard 5 of 3 out of range"},
+		{"empty targets", AddrTargets{}, Config{}, "zmap: empty target set"},
+		{"empty sweep", AddrTargets{}, Config{Module: TCPSynModule{Ports: 7}}, "zmap: empty target set"},
+	} {
+		opened := 0
+		_, err := ScanWorkers(context.Background(), func(int) (Transport, error) {
+			opened++
+			return NewLoopback(w, 0), nil
+		}, tc.ts, tc.cfg, nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if opened != 0 {
+			t.Errorf("%s: %d transports opened before the refusal", tc.name, opened)
+		}
 	}
 }
 
@@ -201,7 +232,7 @@ func TestScanContextCancel(t *testing.T) {
 	ts2, _ := NewSubnetTargets([]ip6.Prefix{p.Pools[0].Prefix}, 64, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := Scan(ctx, NewLoopback(w, 0), ts2, Config{Source: vantage}, nil)
+	st, err := ScanWorkers(ctx, loopbackFactory(w), ts2, Config{Source: vantage, Workers: 1}, nil)
 	if err == nil {
 		t.Fatal("cancelled scan returned nil error")
 	}
@@ -224,8 +255,8 @@ func TestScanProbesPerTarget(t *testing.T) {
 	wan := pool.WANAddrNow(c)
 	ts := AddrTargets{wan}
 	count := 0
-	st, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: vantage, ProbesPerTarget: 3, Seed: 1,
+	st, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source: vantage, ProbesPerTarget: 3, Seed: 1, Workers: 1,
 	}, func(r Result) {
 		if !r.IsEcho() {
 			t.Errorf("probe to WAN returned %s", icmp6.TypeName(r.Type, r.Code))
@@ -294,7 +325,7 @@ func TestEchoModuleHonorsHopLimit(t *testing.T) {
 	ts := AddrTargets{ip6.MustParseAddr("2001:db8::7")}
 	for _, hl := range []int{0, 5, 200} {
 		tr := newRecTransport()
-		if _, err := Scan(context.Background(), tr, ts, Config{Source: vantage, HopLimit: hl, Seed: 4}, nil); err != nil {
+		if _, err := ScanWorkers(context.Background(), soleTransport(tr), ts, Config{Source: vantage, HopLimit: hl, Seed: 4, Workers: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := byte(hl)
@@ -337,7 +368,7 @@ func BenchmarkScanLoopback(b *testing.B) {
 	ts, _ := NewSubnetTargets([]ip6.Prefix{p.Pools[0].Prefix}, 56, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{Source: vantage, Seed: uint64(i)}, func(Result) {})
+		_, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{Source: vantage, Seed: uint64(i), Workers: 1}, func(Result) {})
 		if err != nil {
 			b.Fatal(err)
 		}

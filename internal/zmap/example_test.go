@@ -93,11 +93,13 @@ func Example_customModule() {
 	}
 
 	var byPos [2]int
-	stats, err := zmap.Scan(context.Background(), zmap.NewLoopback(world, 0), targets,
+	stats, err := zmap.ScanWorkers(context.Background(),
+		func(int) (zmap.Transport, error) { return zmap.NewLoopback(world, 0), nil }, targets,
 		zmap.Config{
-			Source: ip6.MustParseAddr("2620:11f:7000::53"),
-			Seed:   42,
-			Module: farNearModule{},
+			Source:  ip6.MustParseAddr("2620:11f:7000::53"),
+			Seed:    42,
+			Workers: 1,
+			Module:  farNearModule{},
 		},
 		func(r zmap.Result) { byPos[r.Seq]++ })
 	if err != nil {

@@ -61,7 +61,7 @@ func TestScanSurfacesSendFailure(t *testing.T) {
 		ip6.MustParseAddr("2001:db8::3"),
 	}
 	tr := newFaultTransport(1, nil)
-	stats, err := Scan(context.Background(), tr, ts, Config{Source: vantage}, nil)
+	stats, err := ScanWorkers(context.Background(), soleTransport(tr), ts, Config{Source: vantage, Workers: 1}, nil)
 	if err == nil {
 		t.Fatal("send failure not surfaced")
 	}
@@ -80,8 +80,8 @@ func TestScanCountsGarbageAsInvalid(t *testing.T) {
 	}
 	tr := newFaultTransport(1<<30, junk)
 	calls := 0
-	stats, err := Scan(context.Background(), tr, AddrTargets{ip6.MustParseAddr("2001:db8::1")},
-		Config{Source: vantage}, func(Result) { calls++ })
+	stats, err := ScanWorkers(context.Background(), soleTransport(tr), AddrTargets{ip6.MustParseAddr("2001:db8::1")},
+		Config{Source: vantage, Workers: 1}, func(Result) { calls++ })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,10 +96,11 @@ func TestMLDEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	got := map[ip6.Addr]Result{}
-	stats, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: vantage,
-		Seed:   99,
-		Module: MLDModule{},
+	stats, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source:  vantage,
+		Seed:    99,
+		Workers: 1,
+		Module:  MLDModule{},
 	}, func(r Result) {
 		mu.Lock()
 		got[r.From] = r

@@ -96,10 +96,11 @@ func TestNDPEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	got := map[ip6.Addr]Result{}
-	stats, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: ip6.MustParseAddr("fe80::53"),
-		Seed:   99,
-		Module: NDPModule{},
+	stats, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source:  ip6.MustParseAddr("fe80::53"),
+		Seed:    99,
+		Workers: 1,
+		Module:  NDPModule{},
 	}, func(r Result) {
 		mu.Lock()
 		got[r.From] = r

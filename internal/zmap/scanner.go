@@ -6,7 +6,7 @@ import (
 )
 
 // Scanner is a reusable scan runner: a transport factory plus a base
-// configuration. Transports are single-use (Scan closes them), so
+// configuration. Transports are single-use (the engine closes them), so
 // repeated scanning needs a factory. The measurement pipeline in
 // internal/core depends only on this type and TargetSet — never on the
 // simulator — so it would drive a raw-socket transport unchanged.
@@ -67,7 +67,7 @@ func (s *Scanner) ScanUntil(ctx context.Context, ts TargetSet, salt uint64, matc
 	}
 	stop := &earlyStop{match: match}
 	stop.ord.Store(noOrdinal)
-	st, err := scan(ctx, s.factory, false, NewPermutedSource(ts), cfg, nil, stop)
+	st, err := scan(ctx, s.factory, NewPermutedSource(ts), cfg, nil, stop)
 	if err != nil {
 		return nil, 0, st, err
 	}

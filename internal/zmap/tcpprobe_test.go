@@ -140,10 +140,11 @@ func TestTCPSynEndToEnd(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := map[ip6.Addr]Result{}
-	stats, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: vantage,
-		Seed:   99,
-		Module: TCPSynModule{},
+	stats, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source:  vantage,
+		Seed:    99,
+		Workers: 1,
+		Module:  TCPSynModule{},
 	}, func(r Result) {
 		mu.Lock()
 		got[r.From] = r
@@ -186,8 +187,8 @@ func TestTCPSynEndToEnd(t *testing.T) {
 	}
 	wan := pool.WANAddrNow(c)
 	var hit *Result
-	_, err = Scan(context.Background(), NewLoopback(w, 0), AddrTargets{wan}, Config{
-		Source: vantage, Seed: 7, Module: TCPSynModule{},
+	_, err = ScanWorkers(context.Background(), loopbackFactory(w), AddrTargets{wan}, Config{
+		Source: vantage, Seed: 7, Workers: 1, Module: TCPSynModule{},
 	}, func(r Result) { cp := r; hit = &cp })
 	if err != nil {
 		t.Fatal(err)

@@ -51,9 +51,10 @@ func TestScanOverUDP(t *testing.T) {
 
 	var mu sync.Mutex
 	euis := map[uint64]bool{}
-	stats, err := zmap.Scan(ctx, tr, ts, zmap.Config{
+	stats, err := zmap.ScanWorkers(ctx, func(int) (zmap.Transport, error) { return tr, nil }, ts, zmap.Config{
 		Source:   ip6.MustParseAddr("2620:11f:7000::53"),
 		Seed:     17,
+		Workers:  1,
 		Rate:     50000, // pace gently: loopback UDP still drops on bursts
 		Cooldown: 300 * time.Millisecond,
 	}, func(r zmap.Result) {
@@ -86,8 +87,8 @@ func TestScanOverUDP(t *testing.T) {
 	// Cross-check against the in-process transport: the same scan through
 	// the loopback must find a superset-or-equal set.
 	got := 0
-	_, err = zmap.Scan(context.Background(), zmap.NewLoopback(w, 0), ts,
-		zmap.Config{Source: ip6.MustParseAddr("2620:11f:7000::53"), Seed: 17}, func(r zmap.Result) {
+	_, err = zmap.ScanWorkers(context.Background(), func(int) (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil }, ts,
+		zmap.Config{Source: ip6.MustParseAddr("2620:11f:7000::53"), Seed: 17, Workers: 1}, func(r zmap.Result) {
 			if ip6.AddrIsEUI64(r.From) {
 				got++
 			}

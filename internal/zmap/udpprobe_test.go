@@ -108,10 +108,11 @@ func TestUDPModuleEndToEnd(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := map[ip6.Addr]Result{}
-	stats, err := Scan(context.Background(), NewLoopback(w, 0), ts, Config{
-		Source: vantage,
-		Seed:   99,
-		Module: UDPModule{},
+	stats, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
+		Source:  vantage,
+		Seed:    99,
+		Workers: 1,
+		Module:  UDPModule{},
 	}, func(r Result) {
 		mu.Lock()
 		got[r.From] = r
@@ -154,8 +155,8 @@ func TestUDPModuleEndToEnd(t *testing.T) {
 	}
 	wan := pool.WANAddrNow(c)
 	var hit *Result
-	_, err = Scan(context.Background(), NewLoopback(w, 0), AddrTargets{wan}, Config{
-		Source: vantage, Seed: 7, Module: UDPModule{},
+	_, err = ScanWorkers(context.Background(), loopbackFactory(w), AddrTargets{wan}, Config{
+		Source: vantage, Seed: 7, Workers: 1, Module: UDPModule{},
 	}, func(r Result) { cp := r; hit = &cp })
 	if err != nil {
 		t.Fatal(err)
