@@ -101,7 +101,7 @@ func mini(b *testing.B) *experiments.Study {
 // --- Table 1 & pipeline stage counts (§4) ---
 
 func BenchmarkTable1_RotatingPrefixDiscovery(b *testing.B) {
-	benchTable1(b, 0, false) // Workers = GOMAXPROCS
+	benchTable1(b, 0) // Workers = GOMAXPROCS
 }
 
 // BenchmarkTable1_Workers pins the worker count, quantifying the
@@ -114,7 +114,7 @@ func BenchmarkTable1_Workers(b *testing.B) {
 	want, wantWorkers := -1, 0
 	for _, workers := range slices.Compact(counts) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			got := benchTable1(b, workers, false)
+			got := benchTable1(b, workers)
 			if want < 0 {
 				want, wantWorkers = got, workers
 			}
@@ -125,22 +125,12 @@ func BenchmarkTable1_Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1_WithCheckpointing re-runs the Table 1 headline with
-// the fault-tolerance machinery armed exactly as `scent -checkpoint`
-// arms it: a Progress tracker recording every worker's high-water
-// position plus the quarantine failure policy. Progress marks cost one
-// uncontended padded atomic store per probe, so this benchmark's mean
-// should stay within 5% of the unarmed headline.
-func BenchmarkTable1_WithCheckpointing(b *testing.B) {
-	benchTable1(b, 0, true)
-}
-
 // benchTable1 times the Table 1 discovery and returns the number of
 // rotating /48s it found. Every iteration runs the same pass — one salt,
 // on a fresh world (built off the clock), since a pass advances the
 // world's virtual clock and spends its rate-limit tokens — so the count
 // and the work timed do not depend on b.N.
-func benchTable1(b *testing.B, workers int, checkpointing bool) int {
+func benchTable1(b *testing.B, workers int) int {
 	seeds := []ip6.Prefix{
 		ip6.MustParsePrefix("2001:db8:10::/48"),
 		ip6.MustParsePrefix("2001:db9:30::/48"),
@@ -150,10 +140,6 @@ func benchTable1(b *testing.B, workers int, checkpointing bool) int {
 		b.StopTimer()
 		env := experiments.NewSmallEnv(103)
 		env.Scanner.Config.Workers = workers
-		if checkpointing {
-			env.Scanner.Config.Progress = zmap.NewProgress()
-			env.Scanner.Config.Failure = zmap.QuarantineWorker{}
-		}
 		b.StartTimer()
 		s := &experiments.Study{Env: env, Cfg: experiments.StudyConfig{ProbesPer48: 16, Salt: 1}}
 		s.SeedEUI48s = seeds

@@ -50,8 +50,8 @@ func TestCheckpointFlagWiresQuarantineAndProgress(t *testing.T) {
 func TestResumeFlagLoadsCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.json")
 	cp := &zmap.Checkpoint{
-		Version: 1, Seed: 9, Shards: 1, Workers: 2, Attempts: 1, Multiplier: 1,
-		Marks: []zmap.WorkerMark{{Attempt: 1}, {Done: 3}},
+		Version: 2, Seed: 9, Shards: 1, Workers: 2, Multiplier: 1,
+		Marks: []uint64{7, 3},
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestResumeFlagLoadsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := env.Scanner.Config.Resume
-	if got == nil || got.Seed != 9 || len(got.Marks) != 2 || got.Marks[1].Done != 3 {
+	if got == nil || got.Seed != 9 || len(got.Marks) != 2 || got.Marks[1] != 3 {
 		t.Fatalf("resume loaded %+v", got)
 	}
 
@@ -80,8 +80,8 @@ func TestResumeFlagLoadsCheckpoint(t *testing.T) {
 func TestFinishExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	cp := &zmap.Checkpoint{
-		Version: 1, Shards: 1, Workers: 1, Attempts: 1, Multiplier: 1,
-		Marks: []zmap.WorkerMark{{Done: 5}},
+		Version: 2, Shards: 1, Workers: 1, Multiplier: 1,
+		Marks: []uint64{5},
 	}
 
 	if got := finish(nil, filepath.Join(dir, "unused"), nil); got != 0 {
@@ -106,7 +106,7 @@ func TestFinishExitCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Marks[0].Done != 5 {
+	if back.Marks[0] != 5 {
 		t.Fatalf("written checkpoint %+v", back)
 	}
 

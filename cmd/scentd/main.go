@@ -27,6 +27,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sync"
 	"time"
 
 	"followscent/internal/core"
@@ -161,15 +162,22 @@ func ingest(ctx context.Context, env *experiments.Env, store *scentd.Store, o *o
 // replica with its clock advanced to the serving snapshot's last
 // committed day — tracks run concurrently, off their own clocks, and
 // never perturb the ingestion clock. A -server world is one shared
-// Internet that cannot be replicated, so the legacy shared-environment
-// path serializes tracks on it (and interleaves their probes with
-// ingestion — combine with care).
+// Internet that cannot be replicated, so every session is the shared
+// environment, held under a lock until the track releases it (its
+// probes still interleave with ingestion — combine with care).
 func trackBackend(env *experiments.Env, o *options) *scentd.TrackBackend {
 	if o.server != "" {
+		var mu sync.Mutex
 		return &scentd.TrackBackend{
-			Scanner: env.Scanner,
-			RIB:     env.World.RIB(),
-			Wait:    env.Wait,
+			NewSession: func(*core.Snapshot) (*scentd.TrackSession, error) {
+				mu.Lock()
+				return &scentd.TrackSession{
+					Scanner: env.Scanner,
+					RIB:     env.World.RIB(),
+					Wait:    env.Wait,
+					Release: mu.Unlock,
+				}, nil
+			},
 		}
 	}
 	return &scentd.TrackBackend{

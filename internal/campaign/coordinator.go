@@ -37,8 +37,9 @@ type Coordinator struct {
 	Wait func(time.Duration)
 	// Record receives each finalized day: the merged, deduplicated,
 	// sorted results and the campaign's deterministic probe count for
-	// the day (positions × attempts — what an uninterrupted single-node
-	// scan sends; re-scans of re-issued shards do not inflate it).
+	// the day (the scan's position count — what an uninterrupted
+	// single-node scan sends; re-scans of re-issued shards do not
+	// inflate it).
 	Record func(day int, results []zmap.Result, probes uint64) error
 	// Logf, when set, receives lifecycle lines.
 	Logf func(format string, args ...any)
@@ -73,15 +74,10 @@ func (c *Coordinator) Run(ctx context.Context, ln net.Listener) error {
 		c.Spec.TTLMS = c.TTL.Milliseconds()
 	}
 	src := zmap.NewPermutedSource(ts)
-	positions, ok := src.Positions(&cfg)
+	probes, ok := src.Positions(&cfg)
 	if !ok {
 		return fmt.Errorf("campaign: target space overflows the probe counter")
 	}
-	attempts := cfg.ProbesPerTarget
-	if attempts <= 0 {
-		attempts = 1
-	}
-	probes := positions * uint64(attempts)
 
 	c.mu.Lock()
 	if c.finishedC == nil {

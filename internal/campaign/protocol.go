@@ -105,8 +105,6 @@ type Spec struct {
 	// Shards is the lease-table width: the permutation is split into
 	// this many zmap-style shards, leased one per worker at a time.
 	Shards int `json:"shards"`
-	// ProbesPerTarget re-probes each target (default 1).
-	ProbesPerTarget int `json:"probes_per_target,omitempty"`
 	// TTLMS is the lease TTL in milliseconds; workers renew at a third
 	// of it.
 	TTLMS int64 `json:"ttl_ms,omitempty"`
@@ -148,10 +146,9 @@ func (s *Spec) Build() (*zmap.SubnetTargets, zmap.Config, error) {
 		return nil, cfg, err
 	}
 	cfg = zmap.Config{
-		Source:          src,
-		Seed:            zmap.ScanSeed(s.Seed, s.Salt),
-		Shards:          s.Shards,
-		ProbesPerTarget: s.ProbesPerTarget,
+		Source: src,
+		Seed:   zmap.ScanSeed(s.Seed, s.Salt),
+		Shards: s.Shards,
 	}
 	return ts, cfg, nil
 }

@@ -30,9 +30,9 @@ type Worker struct {
 	// leases; real nodes ignore them.
 	NewTransport func(day, shard int) zmap.TransportFactory
 	// Config carries node-local engine knobs: Workers, Rate, Cooldown,
-	// Batch. Campaign fields (Source, Seed, Shard/Shards,
-	// ProbesPerTarget) are overwritten from the coordinator's Spec —
-	// none of the local knobs may change the probed target set.
+	// Batch. Campaign fields (Source, Seed, Shard/Shards) are
+	// overwritten from the coordinator's Spec — none of the local knobs
+	// may change the probed target set.
 	Config zmap.Config
 	// Failure is this node's failure policy. nil (AbortAll) means a
 	// transport error kills the node and its shard re-issues in full;

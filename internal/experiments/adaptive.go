@@ -101,7 +101,7 @@ func (c *AdaptiveConfig) fill() error {
 
 // roundBudget converts a probe budget's unspent remainder into a
 // round-size cap in targets, under scanCfg's per-target probe cost
-// (ProbesPerTarget × the module's position multiplier). It returns
+// (the module's position multiplier). It returns
 // ok=false when the budget is exhausted — not even one more target
 // fits — and cap 0 (uncapped) when there is no budget at all.
 func roundBudget(maxProbes, spent uint64, scanCfg zmap.Config) (cap int, ok bool) {
@@ -112,12 +112,9 @@ func roundBudget(maxProbes, spent uint64, scanCfg zmap.Config) (cap int, ok bool
 		return 0, false
 	}
 	per := uint64(1)
-	if scanCfg.ProbesPerTarget > 0 {
-		per = uint64(scanCfg.ProbesPerTarget)
-	}
 	if scanCfg.Module != nil {
 		if m := scanCfg.Module.Multiplier(); m > 1 {
-			per *= uint64(m)
+			per = uint64(m)
 		}
 	}
 	targets := (maxProbes - spent) / per

@@ -722,7 +722,9 @@ func TestScentdTrackOp(t *testing.T) {
 
 	addr := startServer(t, &scentd.Server{
 		Store: st,
-		Track: &scentd.TrackBackend{Scanner: env.Scanner, RIB: env.World.RIB(), Wait: env.Wait},
+		Track: &scentd.TrackBackend{NewSession: func(*core.Snapshot) (*scentd.TrackSession, error) {
+			return &scentd.TrackSession{Scanner: env.Scanner, RIB: env.World.RIB(), Wait: env.Wait}, nil
+		}},
 	})
 	c, err := scentd.Dial(addr)
 	if err != nil {

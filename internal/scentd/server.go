@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"followscent/internal/bgp"
@@ -32,37 +31,25 @@ type Server struct {
 // TrackBackend is the live-probing half of op=track: the §6 adversary
 // run on demand, seeded with the per-AS inferences from the snapshot
 // that answered the request.
-//
-// Two modes. With NewSession set, every request gets a dedicated
-// tracking environment — its own scanner, RIB view, and clock — so
-// track requests run concurrently and never perturb the ingestion
-// clock; this is how -track composes with live ingestion. Without it,
-// the legacy shared fields are used: track probes share the one
-// simulated (or real) Internet and advance its clock, so runs are
-// serialized under mu.
 type TrackBackend struct {
-	// NewSession, when set, builds a fresh tracking environment for one
-	// request. The snapshot that answers the request is passed so the
-	// session can align its world clock with the corpus's last
-	// committed day (a tracker probes "today onward", and today is
-	// defined by how far ingestion has advanced).
+	// NewSession builds the tracking environment for one request. The
+	// snapshot that answers the request is passed so the session can
+	// align its world clock with the corpus's last committed day (a
+	// tracker probes "today onward", and today is defined by how far
+	// ingestion has advanced). A backend whose sessions share one
+	// environment serializes them itself, through Release.
 	NewSession func(snap *core.Snapshot) (*TrackSession, error)
-
-	// Shared-environment fallback (legacy): used when NewSession is nil.
-	Scanner *zmap.Scanner
-	RIB     *bgp.Table
-	Wait    func(time.Duration)
 	// WidenBits is the §6 motivated-adversary pool widening (0 = off).
 	WidenBits int
-
-	mu sync.Mutex
 }
 
-// TrackSession is one request's dedicated tracking environment.
+// TrackSession is one request's tracking environment.
 type TrackSession struct {
 	Scanner *zmap.Scanner
 	RIB     *bgp.Table
 	Wait    func(time.Duration)
+	// Release, when set, is called once the request's track has ended.
+	Release func()
 }
 
 // Serve accepts and handles connections until ctx is cancelled (the
@@ -90,7 +77,7 @@ func (s *Server) answer(ctx context.Context, req Request) Response {
 // track runs the live §6 adversary for one device, seeded with the
 // snapshot's Algorithm 1/2 inferences.
 func (s *Server) track(ctx context.Context, snap *core.Snapshot, req Request) Response {
-	if s.Track == nil {
+	if s.Track == nil || s.Track.NewSession == nil {
 		return errResponse(snap, "track: not enabled on this server")
 	}
 	a, err := ip6.ParseAddr(req.Addr)
@@ -109,29 +96,21 @@ func (s *Server) track(ctx context.Context, snap *core.Snapshot, req Request) Re
 	if salt == 0 {
 		salt = 0x7ac4
 	}
-	tb := s.Track
+	sess, err := s.Track.NewSession(snap)
+	if err != nil {
+		return errResponse(snap, "track: session: %v", err)
+	}
+	if sess.Release != nil {
+		defer sess.Release()
+	}
 	tracker := &core.Tracker{
+		Scanner:   sess.Scanner,
+		RIB:       sess.RIB,
 		AllocBits: snap.AllocationByAS(),
 		PoolBits:  snap.PoolByAS(),
-		WidenBits: tb.WidenBits,
+		WidenBits: s.Track.WidenBits,
 	}
-	var wait func(time.Duration)
-	if tb.NewSession != nil {
-		// Dedicated per-request environment: concurrent with other
-		// tracks and with live ingestion, no shared clock.
-		sess, err := tb.NewSession(snap)
-		if err != nil {
-			return errResponse(snap, "track: session: %v", err)
-		}
-		tracker.Scanner, tracker.RIB, wait = sess.Scanner, sess.RIB, sess.Wait
-	} else {
-		// Shared environment: probes advance the one world clock, so
-		// runs serialize.
-		tb.mu.Lock()
-		defer tb.mu.Unlock()
-		tracker.Scanner, tracker.RIB, wait = tb.Scanner, tb.RIB, tb.Wait
-	}
-	if err := tracker.Track(ctx, st, days, salt, wait); err != nil {
+	if err := tracker.Track(ctx, st, days, salt, sess.Wait); err != nil {
 		return errResponse(snap, "track: %v", err)
 	}
 	sum := core.Summarize(st)

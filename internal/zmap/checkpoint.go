@@ -12,60 +12,55 @@ import (
 // Checkpoint is a scan's serializable resume state: one high-water mark
 // per worker. It leans entirely on the source-layer determinism
 // contract (TargetSource doc): each worker's stream order is a pure
-// function of (cfg, worker), so "how many positions worker w consumed
-// in attempt pass a" identifies the exact remainder — a resumed scan
-// re-creates the streams and skips that many positions, probing the
-// rest byte-identically to an uninterrupted run
+// function of (cfg, worker), so "how many positions worker w consumed"
+// identifies the exact remainder — a resumed scan re-creates the
+// streams and skips that many positions, probing the rest
+// byte-identically to an uninterrupted run
 // (TestCheckpointResumeEquivalence).
 //
 // A checkpoint is only meaningful against the same scan: same seed,
-// shard split, worker count, attempt count, module multiplier and — not
-// recordable here — the same target source. Config.Resume validates
-// everything it can and trusts the caller for the source.
+// shard split, worker count, module multiplier and — not recordable
+// here — the same target source. Config.Resume validates everything it
+// can and trusts the caller for the source.
 type Checkpoint struct {
 	Version int    `json:"version"`
 	Seed    uint64 `json:"seed"`
 	Shard   int    `json:"shard"`
 	Shards  int    `json:"shards"`
 	Workers int    `json:"workers"`
-	// Attempts is the scan's ProbesPerTarget: each attempt pass walks
-	// the same per-worker stream again.
-	Attempts int `json:"attempts"`
 	// Multiplier is the probe module's per-target position count — a
 	// cheap fingerprint against resuming under a different module.
 	Multiplier int `json:"multiplier"`
-	// Marks holds one high-water mark per worker, indexed by worker.
-	Marks []WorkerMark `json:"marks"`
+	// Marks holds, per worker, how many stream positions it consumed; a
+	// worker that finished keeps its stream's full length.
+	Marks []uint64 `json:"marks"`
 }
 
-// WorkerMark is one worker's high-water position: the attempt pass it
-// was in (== Attempts when the worker finished) and how many stream
-// positions it had consumed within that pass.
-type WorkerMark struct {
-	Attempt int    `json:"attempt"`
-	Done    uint64 `json:"done"`
-}
+const checkpointVersion = 2
 
-const checkpointVersion = 1
+// ErrCheckpointV1 refuses the retired v1 format, whose marks named an
+// attempt pass as well as a position.
+var ErrCheckpointV1 = errors.New("zmap: checkpoint format v1 is retired: its marks carry re-probe attempts; rescan")
 
-// Complete reports whether every worker finished every attempt pass —
-// a resumed scan over a complete checkpoint sends nothing.
-func (c *Checkpoint) Complete() bool {
-	for _, m := range c.Marks {
-		if m.Attempt < c.Attempts {
-			return false
-		}
+// checkVersion accepts the current format and names the retired one.
+func checkVersion(v int) error {
+	switch v {
+	case checkpointVersion:
+		return nil
+	case 1:
+		return ErrCheckpointV1
 	}
-	return true
+	return fmt.Errorf("zmap: checkpoint version %d, want %d", v, checkpointVersion)
 }
 
 // compatible validates c against a filled scan configuration. Every
 // mismatch would silently desynchronize the resumed walk from the
 // interrupted one, so all of them are hard errors.
 func (c *Checkpoint) compatible(cfg *Config) error {
+	if err := checkVersion(c.Version); err != nil {
+		return err
+	}
 	switch {
-	case c.Version != checkpointVersion:
-		return fmt.Errorf("zmap: checkpoint version %d, want %d", c.Version, checkpointVersion)
 	case c.Seed != cfg.Seed:
 		return fmt.Errorf("zmap: checkpoint seed %#x does not match scan seed %#x", c.Seed, cfg.Seed)
 	case c.Shard != cfg.Shard || c.Shards != cfg.Shards:
@@ -74,20 +69,20 @@ func (c *Checkpoint) compatible(cfg *Config) error {
 	case c.Workers != cfg.Workers || len(c.Marks) != cfg.Workers:
 		return fmt.Errorf("zmap: checkpoint has %d workers (%d marks), scan has %d",
 			c.Workers, len(c.Marks), cfg.Workers)
-	case c.Attempts != cfg.ProbesPerTarget:
-		return fmt.Errorf("zmap: checkpoint attempts %d does not match ProbesPerTarget %d",
-			c.Attempts, cfg.ProbesPerTarget)
 	case c.Multiplier != int(cfg.multiplier()):
 		return fmt.Errorf("zmap: checkpoint multiplier %d does not match module multiplier %d",
 			c.Multiplier, cfg.multiplier())
 	}
-	// A resumed worker walks from its mark's attempt pass onward, so a
-	// mark outside the scan's passes would re-walk the shard or corrupt
-	// the packed progress word.
+	return nil
+}
+
+// within refuses a mark above the scan's position count n: no worker
+// consumes more than the whole scan, so such a mark names no position
+// of it (a corrupt or foreign checkpoint).
+func (c *Checkpoint) within(n uint64) error {
 	for w, m := range c.Marks {
-		if m.Attempt < 0 || m.Attempt > c.Attempts || m.Done > markMask {
-			return fmt.Errorf("zmap: checkpoint worker %d mark (attempt %d, done %d) out of range: attempt 0..%d, done at most %d",
-				w, m.Attempt, m.Done, c.Attempts, uint64(markMask))
+		if m > n {
+			return fmt.Errorf("zmap: checkpoint worker %d mark %d exceeds the scan's %d positions", w, m, n)
 		}
 	}
 	return nil
@@ -111,13 +106,25 @@ func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
+// The version is read first, so a retired format is refused by name
+// rather than by whatever its fields fail to decode into.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	c := &Checkpoint{}
-	if err := json.NewDecoder(r).Decode(c); err != nil {
+	var raw json.RawMessage
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("zmap: reading checkpoint: %w", err)
 	}
-	if c.Version != checkpointVersion {
-		return nil, fmt.Errorf("zmap: checkpoint version %d, want %d", c.Version, checkpointVersion)
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, fmt.Errorf("zmap: reading checkpoint: %w", err)
+	}
+	if err := checkVersion(v.Version); err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{}
+	if err := json.Unmarshal(raw, c); err != nil {
+		return nil, fmt.Errorf("zmap: reading checkpoint: %w", err)
 	}
 	if c.Workers != len(c.Marks) {
 		return nil, fmt.Errorf("zmap: checkpoint claims %d workers but carries %d marks", c.Workers, len(c.Marks))
@@ -140,20 +147,12 @@ type Progress struct {
 
 // paddedMark keeps each worker's atomic mark on its own cache line: the
 // mark is stored once per probe on the send hot path, and false sharing
-// between workers would put that store in contention
-// (BenchmarkTable1_WithCheckpointing gates the overhead).
+// between workers would put that store in contention (the bench
+// harness reports the cost as zmap.checkpoint_overhead_ratio).
 type paddedMark struct {
 	v atomic.Uint64
 	_ [56]byte
 }
-
-// The mark packs (attempt, positions consumed) into one word: attempt
-// in the top 16 bits, count in the low 48. 2^48 positions per attempt
-// pass is years of sending at line rate — far beyond a resumable scan.
-const (
-	markShift = 48
-	markMask  = 1<<markShift - 1
-)
 
 // NewProgress returns an empty tracker, ready for Config.Progress.
 func NewProgress() *Progress { return &Progress{} }
@@ -169,23 +168,22 @@ func (p *Progress) start(cfg *Config, resume *Checkpoint) {
 		Shard:      cfg.Shard,
 		Shards:     cfg.Shards,
 		Workers:    cfg.Workers,
-		Attempts:   cfg.ProbesPerTarget,
 		Multiplier: int(cfg.multiplier()),
 	}
 	p.marks = make([]paddedMark, cfg.Workers)
 	if resume != nil {
 		for w, m := range resume.Marks {
-			p.marks[w].v.Store(uint64(m.Attempt)<<markShift | m.Done&markMask)
+			p.marks[w].v.Store(m)
 		}
 	}
 	p.ready = true
 	p.mu.Unlock()
 }
 
-// mark advances worker w's high-water position: done stream positions
-// consumed within attempt. One uncontended atomic store per probe.
-func (p *Progress) mark(w, attempt int, done uint64) {
-	p.marks[w].v.Store(uint64(attempt)<<markShift | done&markMask)
+// mark advances worker w's high-water position to done stream
+// positions consumed. One uncontended atomic store per probe.
+func (p *Progress) mark(w int, done uint64) {
+	p.marks[w].v.Store(done)
 }
 
 // Checkpoint snapshots the current marks. Each worker's mark is read
@@ -198,10 +196,9 @@ func (p *Progress) Checkpoint() (*Checkpoint, error) {
 		return nil, errors.New("zmap: progress not attached to a scan")
 	}
 	cp := p.tmpl
-	cp.Marks = make([]WorkerMark, len(p.marks))
+	cp.Marks = make([]uint64, len(p.marks))
 	for i := range p.marks {
-		v := p.marks[i].v.Load()
-		cp.Marks[i] = WorkerMark{Attempt: int(v >> markShift), Done: v & markMask}
+		cp.Marks[i] = p.marks[i].v.Load()
 	}
 	return &cp, nil
 }

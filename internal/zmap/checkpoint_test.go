@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,7 +90,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	ts := testTargets(t)
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := Config{Source: vantage, Seed: 77, Workers: workers, ProbesPerTarget: 2}
+			cfg := Config{Source: vantage, Seed: 77, Workers: workers}
 
 			ref := newResultSet()
 			refStats, err := ScanSource(context.Background(),
@@ -117,7 +119,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			if _, dead := pe.WorkerErrs[0]; !dead || len(pe.WorkerErrs) != 1 {
 				t.Fatalf("quarantined workers = %v, want exactly worker 0", pe.WorkerErrs)
 			}
-			if pe.Checkpoint.Complete() {
+			if covered(pe.Checkpoint) >= ts.Len() {
 				t.Fatal("partial scan's checkpoint claims completion")
 			}
 
@@ -228,6 +230,17 @@ func TestCheckpointCancelResume(t *testing.T) {
 	}
 }
 
+// covered sums a checkpoint's marks: the stream positions its workers
+// consumed, which equals a one-shard scan's position count exactly
+// when every worker finished.
+func covered(cp *Checkpoint) uint64 {
+	var n uint64
+	for _, m := range cp.Marks {
+		n += m
+	}
+	return n
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -246,8 +259,8 @@ func equalStrings(a, b []string) bool {
 func TestCheckpointRejectsMismatchedConfig(t *testing.T) {
 	ok := Checkpoint{
 		Version: checkpointVersion, Seed: 42, Shard: 0, Shards: 1,
-		Workers: 2, Attempts: 1, Multiplier: 1,
-		Marks: make([]WorkerMark, 2),
+		Workers: 2, Multiplier: 1,
+		Marks: make([]uint64, 2),
 	}
 	base := Config{Source: vantage, Seed: 42, Workers: 2}
 	run := func(cp Checkpoint, cfg Config) error {
@@ -266,7 +279,6 @@ func TestCheckpointRejectsMismatchedConfig(t *testing.T) {
 		"seed":       func(_ *Checkpoint, cfg *Config) { cfg.Seed = 43 },
 		"shards":     func(_ *Checkpoint, cfg *Config) { cfg.Shards = 2; cfg.Shard = 0 },
 		"workers":    func(_ *Checkpoint, cfg *Config) { cfg.Workers = 4 },
-		"attempts":   func(_ *Checkpoint, cfg *Config) { cfg.ProbesPerTarget = 3 },
 		"multiplier": func(cp *Checkpoint, _ *Config) { cp.Multiplier = 5 },
 	}
 	for name, mutate := range mutations {
@@ -278,34 +290,31 @@ func TestCheckpointRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsOutOfRangeMarks pins the mark bounds: a resumed
-// worker walks from its mark's attempt pass onward, so a mark below
-// pass 0 would re-walk the shard (Attempt -5 walks it six times), and a
-// mark past the last pass or beyond the packed progress word names no
-// position of the scan. Compatible refuses each, and so does the engine,
-// before any probe.
+// TestCheckpointRejectsOutOfRangeMarks pins the mark bound: no worker
+// consumes more positions than the whole scan has, so a mark above the
+// source's known position count names no position of the scan and the
+// engine refuses it before any probe. A mark at the count is a finished
+// worker: accepted, with nothing left to send.
 func TestCheckpointRejectsOutOfRangeMarks(t *testing.T) {
 	ts := testTargets(t)
 	cfg := Config{Source: vantage, Seed: 42, Workers: 1}
-	for name, m := range map[string]WorkerMark{
-		"negative attempt":           {Attempt: -5},
-		"attempt past the last pass": {Attempt: 2},
-		"done beyond the mark word":  {Done: markMask + 1},
-	} {
-		cp := &Checkpoint{
-			Version: checkpointVersion, Seed: 42, Shards: 1, Workers: 1,
-			Attempts: 1, Multiplier: 1, Marks: []WorkerMark{m},
-		}
-		if err := cp.Compatible(cfg); err == nil {
-			t.Errorf("%s: Compatible accepted %+v", name, m)
-		}
+	resume := func(mark uint64) (Stats, error) {
 		rcfg := cfg
-		rcfg.Resume = cp
-		st, err := ScanWorkers(context.Background(),
-			faultFactory(func(int) FaultPlan { return FaultPlan{} }), ts, rcfg, nil)
-		if err == nil || st.Sent != 0 {
-			t.Errorf("%s: resumed scan sent %d probes, err %v; want a refusal before any probe", name, st.Sent, err)
+		rcfg.Resume = &Checkpoint{
+			Version: checkpointVersion, Seed: 42, Shards: 1, Workers: 1,
+			Multiplier: 1, Marks: []uint64{mark},
 		}
+		return ScanWorkers(context.Background(),
+			faultFactory(func(int) FaultPlan { return FaultPlan{} }), ts, rcfg, nil)
+	}
+	for _, mark := range []uint64{ts.Len() + 1, 1 << 62, ^uint64(0)} {
+		if st, err := resume(mark); err == nil || st.Sent != 0 {
+			t.Errorf("mark %d of %d positions: resumed scan sent %d probes, err %v; want a refusal before any probe",
+				mark, ts.Len(), st.Sent, err)
+		}
+	}
+	if st, err := resume(ts.Len()); err != nil || st.Sent != 0 {
+		t.Errorf("finished mark: resumed scan sent %d probes, err %v; want nothing sent", st.Sent, err)
 	}
 }
 
@@ -313,7 +322,9 @@ func TestCheckpointRejectsOutOfRangeMarks(t *testing.T) {
 // with real Progress snapshots. It must never panic; an accepted
 // checkpoint must survive a write/read round trip unchanged; and one
 // that is also Compatible with the small scan it describes must resume
-// that scan without sending more probes than the uninterrupted scan.
+// that scan without sending more probes than the uninterrupted scan —
+// or, when a mark exceeds the scan's position count, which Compatible
+// cannot see, be refused before any probe.
 func FuzzReadCheckpoint(f *testing.F) {
 	ts := make(AddrTargets, 16)
 	for i := range ts {
@@ -331,7 +342,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 				}
 				return FaultPlan{}
 			}), ts, Config{
-				Source: vantage, Seed: 5, Workers: workers, ProbesPerTarget: 2,
+				Source: vantage, Seed: 5, Workers: workers,
 				Progress: prog, Failure: QuarantineWorker{},
 			}, nil)
 			cp, err := prog.Checkpoint()
@@ -361,13 +372,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if !reflect.DeepEqual(back, cp) {
 			t.Fatalf("round trip changed the checkpoint: %+v -> %+v", cp, back)
 		}
-		if cp.Workers < 1 || cp.Workers > 4 || cp.Attempts < 1 || cp.Attempts > 3 ||
+		if cp.Workers < 1 || cp.Workers > 4 ||
 			cp.Shards < 1 || cp.Shards > 4 || cp.Shard < 0 || cp.Shard >= cp.Shards {
 			return // not a scan small enough to run here
 		}
 		cfg := Config{
 			Source: vantage, Seed: cp.Seed, Shard: cp.Shard, Shards: cp.Shards,
-			Workers: cp.Workers, ProbesPerTarget: cp.Attempts,
+			Workers: cp.Workers,
 		}
 		if cp.Compatible(cfg) != nil {
 			return
@@ -379,7 +390,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 		cfg.Resume = cp
 		rest, err := ScanWorkers(context.Background(), healthy, ts, cfg, nil)
 		if err != nil {
-			t.Fatalf("compatible checkpoint did not resume: %v", err)
+			if slices.Max(cp.Marks) <= ts.Len() {
+				t.Fatalf("compatible checkpoint did not resume: %v", err)
+			}
+			if rest.Sent != 0 {
+				t.Fatalf("refused resume from %+v sent %d probes", cp.Marks, rest.Sent)
+			}
+			return
 		}
 		if rest.Sent > full.Sent {
 			t.Fatalf("resume from %+v sent %d probes, the uninterrupted scan %d", cp.Marks, rest.Sent, full.Sent)
@@ -394,8 +411,32 @@ func TestReadCheckpointRejectsCorrupt(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader([]byte(`{"version":99}`))); err == nil {
 		t.Error("unknown version accepted")
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte(`{"version":1,"workers":3,"marks":[]}`))); err == nil {
+	if _, err := ReadCheckpoint(bytes.NewReader([]byte(`{"version":2,"workers":3,"marks":[]}`))); err == nil {
 		t.Error("marks/workers mismatch accepted")
+	}
+}
+
+// TestReadCheckpointRefusesV1: a file in the retired v1 format — whose
+// marks carried an attempt pass beside the position count — is refused
+// by name, not half-decoded into a v2 resume coordinate.
+func TestReadCheckpointRefusesV1(t *testing.T) {
+	v1 := `{
+  "version": 1,
+  "seed": 9,
+  "shard": 0,
+  "shards": 1,
+  "workers": 2,
+  "attempts": 1,
+  "multiplier": 1,
+  "marks": [
+    {"attempt": 1, "done": 0},
+    {"attempt": 0, "done": 3}
+  ]
+}
+`
+	cp, err := ReadCheckpoint(strings.NewReader(v1))
+	if !errors.Is(err, ErrCheckpointV1) {
+		t.Fatalf("v1 checkpoint: got %+v, error %v; want ErrCheckpointV1", cp, err)
 	}
 }
 

@@ -50,7 +50,7 @@ func NewCycle(n uint64, seed uint64) (*Cycle, error) {
 // cycleGroup finds the multiplicative group for a domain: the smallest
 // prime p > n and a generator of (Z/pZ)*. The search depends only on n,
 // so callers walking the same domain repeatedly (one stream per worker
-// per attempt) can cache the pair and skip the primality and
+// per scan) can cache the pair and skip the primality and
 // factorization work.
 func cycleGroup(n uint64) (p, g uint64, err error) {
 	if n == 0 {

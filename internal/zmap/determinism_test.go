@@ -3,6 +3,7 @@ package zmap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"sort"
 	"sync"
@@ -185,31 +186,38 @@ func TestScanWorkerShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestScanShardedAttemptsProbeSameTargets is the regression test for the
-// shard-filter bug where the position counter carried over between
-// ProbesPerTarget attempts, so with Shards > 1 the second attempt probed
-// a different target subset than the first.
-func TestScanShardedAttemptsProbeSameTargets(t *testing.T) {
+// TestScanShardedResumeProbesSameTargets is the one-pass form of the
+// regression test for the shard-filter bug where the position counter
+// carried over between walks of a re-created stream, so with Shards > 1
+// the second walk probed a different target subset than the first. A
+// resume is the walk that re-creates a stream: for each shard, the
+// probes sent before a worker death plus those of the resumed scan must
+// be exactly the uninterrupted shard scan's probes, in its order.
+func TestScanShardedResumeProbesSameTargets(t *testing.T) {
 	ts := testTargets(t)
 	for shard := 0; shard < 2; shard++ {
-		cfg := Config{Source: vantage, Seed: 3, Workers: 1, ProbesPerTarget: 2, Shard: shard, Shards: 2}
-		ps := scanRecorded(t, ts, cfg)[0]
-		byAttempt := map[uint16]map[ip6.Addr]bool{}
-		for _, p := range ps {
-			if byAttempt[p.seq] == nil {
-				byAttempt[p.seq] = map[ip6.Addr]bool{}
-			}
-			byAttempt[p.seq][p.target] = true
+		cfg := Config{Source: vantage, Seed: 3, Workers: 1, Shard: shard, Shards: 2}
+		want := scanRecorded(t, ts, cfg)[0]
+
+		died := newRecTransport()
+		icfg := cfg
+		icfg.Failure = QuarantineWorker{}
+		_, err := ScanWorkers(context.Background(), func(w int) (Transport, error) {
+			return NewFaultTransport(died, FaultPlan{DieAfterSends: 10}, w), nil
+		}, ts, icfg, nil)
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("shard %d: err = %v, want *PartialError", shard, err)
 		}
-		if len(byAttempt) != 2 {
-			t.Fatalf("shard %d: saw %d attempts, want 2", shard, len(byAttempt))
+		rcfg := cfg
+		rcfg.Resume = pe.Checkpoint
+		got := append(died.probes(t), scanRecorded(t, ts, rcfg)[0]...)
+		if len(got) != len(want) {
+			t.Fatalf("shard %d: interrupted+resumed sent %d probes, want %d", shard, len(got), len(want))
 		}
-		if len(byAttempt[0]) != len(byAttempt[1]) {
-			t.Fatalf("shard %d: attempt sizes differ: %d vs %d", shard, len(byAttempt[0]), len(byAttempt[1]))
-		}
-		for target := range byAttempt[0] {
-			if !byAttempt[1][target] {
-				t.Fatalf("shard %d: target %s probed in attempt 0 but not attempt 1", shard, target)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("shard %d: probe %d is %v, the uninterrupted scan's is %v", shard, i, got[i], want[i])
 			}
 		}
 	}

@@ -10,7 +10,11 @@
 // probe-type agnostic: walking target streams, partitioning them across
 // workers and shards so the probed set is byte-identical for every
 // worker count, moving bytes through Transports, pacing, and the stats
-// counters. Two plugin layers parameterize it. A TargetSource owns
+// counters. Every scan is one pass over its source's streams — each
+// position probed once — and a transport error goes, unretried, to the
+// scan's FailurePolicy (AbortAll or QuarantineWorker); an interrupted
+// scan resumes from a Checkpoint of per-worker consumed positions. Two
+// plugin layers parameterize it. A TargetSource owns
 // target generation — PermutedSource walks an indexable TargetSet
 // through the cyclic permutation (the classic fixed workload),
 // CandidateSource streams EUI-64 candidates synthesized from vendor

@@ -24,8 +24,6 @@ type Config struct {
 	// HopLimit for probe packets; 0 means 64. Sweep modules that own
 	// the hop limit (e.g. yarrp's hop-limit module) ignore it.
 	HopLimit int
-	// ProbesPerTarget re-probes each target this many times (default 1).
-	ProbesPerTarget int
 	// Shard/Shards split the scan zmap-style: this instance sends only
 	// the positions congruent to Shard modulo Shards. Defaults to 0/1.
 	Shard, Shards int
@@ -86,9 +84,6 @@ func (c *Config) fill() {
 	if c.HopLimit == 0 {
 		c.HopLimit = 64
 	}
-	if c.ProbesPerTarget == 0 {
-		c.ProbesPerTarget = 1
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -135,8 +130,8 @@ type Stats struct {
 	SendTime time.Duration
 }
 
-// TransportFactory builds the transport a scan worker owns for one scan
-// pass. It is called once per worker, so each worker gets its own
+// TransportFactory builds the transport a scan worker owns for one
+// scan. It is called once per worker, so each worker gets its own
 // sender+receiver pair (its own socket, against a wire transport).
 type TransportFactory func(worker int) (Transport, error)
 
@@ -168,13 +163,19 @@ func scan(ctx context.Context, factory TransportFactory, src TargetSource, cfg C
 	if cfg.Shard < 0 || cfg.Shard >= cfg.Shards {
 		return Stats{}, fmt.Errorf("zmap: shard %d of %d out of range", cfg.Shard, cfg.Shards)
 	}
+	n, known := src.Positions(&cfg)
+	if known && n == 0 {
+		return Stats{}, fmt.Errorf("zmap: empty target set")
+	}
 	if cfg.Resume != nil {
 		if err := cfg.Resume.compatible(&cfg); err != nil {
 			return Stats{}, err
 		}
-	}
-	if n, known := src.Positions(&cfg); known && n == 0 {
-		return Stats{}, fmt.Errorf("zmap: empty target set")
+		if known {
+			if err := cfg.Resume.within(n); err != nil {
+				return Stats{}, err
+			}
+		}
 	}
 
 	// A worker hitting a transport error aborts the whole scan promptly
@@ -185,18 +186,11 @@ func scan(ctx context.Context, factory TransportFactory, src TargetSource, cfg C
 
 	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel, stop: stop, tally: make([]workerTally, cfg.Workers)}
 	e.raw, _ = cfg.Module.(RawValidator)
-	switch p := cfg.Failure.(type) {
+	switch cfg.Failure.(type) {
 	case nil, AbortAll:
 		// First error cancels every worker — the historical default.
-	case RetryBackoff:
-		r := p.fill()
-		e.retry = &r
 	case QuarantineWorker:
 		e.quarantine = true
-		if p.Retry != nil {
-			r := p.Retry.fill()
-			e.retry = &r
-		}
 	default:
 		return Stats{}, fmt.Errorf("zmap: unknown failure policy %T", cfg.Failure)
 	}
@@ -312,10 +306,9 @@ type engine struct {
 	abort   context.CancelFunc
 
 	// Failure-policy state, resolved once at scan start.
-	retry      *RetryBackoff // retry transient send errors; nil = no retries
-	quarantine bool          // record dead workers instead of aborting
-	prog       *Progress     // per-worker high-water marks; may be nil
-	stop       *earlyStop    // ScanUntil's lowest find; nil in every other scan
+	quarantine bool       // record dead workers instead of aborting
+	prog       *Progress  // per-worker high-water marks; may be nil
+	stop       *earlyStop // ScanUntil's lowest find; nil in every other scan
 
 	tally []workerTally // one per worker; scan folds them into Stats
 
@@ -375,7 +368,7 @@ func (e *engine) quarantineWorker(w int, err error) {
 // per-worker stream (the source owns ordering and the two-level shard
 // partition), paces, and hands each probe to one of two sinks: ex, a
 // synchronous transport answered inline, or bt through the worker's
-// ring, flushed when full and at pass end. Exactly one of the two is
+// ring, flushed when full and at walk end. Exactly one of the two is
 // non-nil. All probe knowledge lives in the module's Prober: the engine
 // only walks streams and moves bytes.
 func (e *engine) send(ctx context.Context, w int, t *workerTally, bt BatchTransport, ex Exchanger) {
@@ -396,106 +389,89 @@ func (e *engine) send(ctx context.Context, w int, t *workerTally, bt BatchTransp
 	var pkt icmp6.Packet
 	done := ctx.Done()
 	stop := e.stop
-	// Resuming: rm is this worker's high-water mark from the previous
-	// run — attempt passes below rm.Attempt are fully covered, and the
-	// first rm.Done positions of pass rm.Attempt are skipped. The
-	// source-layer determinism contract makes position counts a sound
-	// coordinate system: the resumed stream replays the same order.
-	var rm WorkerMark
+	// Resuming: skip is this worker's high-water mark from the previous
+	// run, the stream positions it had consumed. The source-layer
+	// determinism contract makes position counts a sound coordinate
+	// system: the resumed stream replays the same order.
+	var skip uint64
 	if cfg.Resume != nil {
-		rm = cfg.Resume.Marks[w]
+		skip = cfg.Resume.Marks[w]
 	}
-	for attempt := rm.Attempt; attempt < cfg.ProbesPerTarget; attempt++ {
-		var skip uint64
-		if attempt == rm.Attempt {
-			skip = rm.Done
+	st, err := e.src.Stream(cfg, w)
+	if err != nil {
+		e.fail(err)
+		return
+	}
+	poll := 0
+	var consumed uint64
+walk:
+	for {
+		target, pos, ok := st.Next()
+		if !ok {
+			break
 		}
-		// A fresh stream every attempt, so each re-probe pass covers the
-		// same sub-shard of targets as the first.
-		st, err := e.src.Stream(cfg, w)
-		if err != nil {
-			e.fail(err)
-			return
+		if poll--; poll < 0 {
+			// Cancellation is polled every 64 probes: cheap enough to
+			// never matter, frequent enough to stop promptly — the only
+			// stop an unbounded source gets besides stream exhaustion.
+			// Probes ringed but unsent are re-probed by a resume.
+			poll = 63
+			select {
+			case <-done:
+				err = ctx.Err()
+				break walk
+			default:
+			}
 		}
-		poll := 0
-		var consumed uint64
-		stopped := false
-	pass:
-		for {
-			target, pos, ok := st.Next()
-			if !ok {
+		if consumed++; consumed <= skip {
+			continue
+		}
+		ord := noOrdinal
+		if stop != nil {
+			// Ranks only grow along a walk, so the first one above the
+			// lowest find ends it: what was sent below the find is then
+			// exactly a prefix of the sequential order.
+			if ord = (consumed-1)*uint64(cfg.Workers) + uint64(w); ord > stop.ord.Load() {
+				consumed-- // refused, so no progress mark may claim it
 				break
 			}
-			if poll--; poll < 0 {
-				// Cancellation is polled every 64 probes: cheap enough to
-				// never matter, frequent enough to stop promptly — the only
-				// stop an unbounded source gets besides stream exhaustion.
-				// Probes ringed but unsent are re-probed by a resume.
-				poll = 63
-				select {
-				case <-done:
-					err = ctx.Err()
-					break pass
-				default:
-				}
-			}
-			if consumed++; consumed <= skip {
-				continue
-			}
-			ord := noOrdinal
-			if stop != nil {
-				// Ranks only grow along a walk, so the first one above the
-				// lowest find ends it: what was sent below the find is then
-				// exactly a prefix of the sequential order.
-				if ord = (consumed-1)*uint64(cfg.Workers) + uint64(w); ord > stop.ord.Load() {
-					consumed-- // refused, so no progress mark may claim it
-					stopped = true
+		}
+		probe := prober.MakeProbe(target, pos, 0)
+		if ex == nil {
+			ring.push(probe)
+			if ring.full() {
+				if err = e.flush(w, t, bt, ring, pc, consumed); err != nil {
 					break
 				}
 			}
-			probe := prober.MakeProbe(target, pos, attempt)
-			if ex == nil {
-				ring.push(probe)
-				if ring.full() {
-					if err = e.flush(ctx, w, t, bt, ring, pc, attempt, consumed); err != nil {
-						break pass
-					}
-				}
-				continue
-			}
-			resp, ok := ex.Exchange(probe, respBuf[:0])
-			t.sent.Add(1)
-			if ok {
-				respBuf = resp
-				t.received.Add(1)
-				e.deliver(w, t, &pkt, resp, ord)
-			}
-			// Marked only now that the probe reached the transport: a
-			// checkpoint never claims unsent work (see flush).
-			if e.prog != nil {
-				e.prog.mark(w, attempt, consumed)
-			}
-			pc.wait()
+			continue
 		}
-		if err == nil && ring != nil {
-			err = e.flush(ctx, w, t, bt, ring, pc, attempt, consumed)
+		resp, ok := ex.Exchange(probe, respBuf[:0])
+		t.sent.Add(1)
+		if ok {
+			respBuf = resp
+			t.received.Add(1)
+			e.deliver(w, t, &pkt, resp, ord)
 		}
-		closeStream(st)
-		switch {
-		case err == nil:
-		case err == ctx.Err():
-			e.setErr(err)
-		case e.quarantine:
-			e.quarantineWorker(w, err)
-		default:
-			e.fail(err)
-		}
-		if err != nil || stopped {
-			return
-		}
+		// Marked only now that the probe reached the transport: a
+		// checkpoint never claims unsent work (see flush).
 		if e.prog != nil {
-			e.prog.mark(w, attempt+1, 0)
+			e.prog.mark(w, consumed)
 		}
+		pc.wait()
+	}
+	if err == nil && ring != nil {
+		err = e.flush(w, t, bt, ring, pc, consumed)
+	}
+	closeStream(st)
+	switch {
+	case err == nil:
+	case err == ctx.Err():
+		e.setErr(err)
+	case e.quarantine:
+		e.quarantineWorker(w, err)
+	default:
+		e.fail(err)
 	}
 }
 
@@ -533,68 +509,28 @@ func lanes(n, size int) [][]byte {
 }
 
 // flush sends the ring. Every packet the transport accepted counts as
-// sent, also on the error paths; the progress mark advances only when
+// sent, also on the error path; the progress mark advances only when
 // the whole ring went out — every consumed position up to a mark was
 // either resume-skipped or handed to the transport, so a checkpoint
 // never claims unsent work, and a batch that died part-way is re-probed
 // whole by a resume.
-func (e *engine) flush(ctx context.Context, w int, t *workerTally, bt BatchTransport, ring *probeRing, pc *pacer, attempt int, consumed uint64) error {
+func (e *engine) flush(w int, t *workerTally, bt BatchTransport, ring *probeRing, pc *pacer, consumed uint64) error {
 	n := ring.n
 	if n == 0 {
 		return nil
 	}
 	ring.n = 0
-	sent, err := e.sendBatchRetry(ctx, bt, ring.pkts[:n])
-	t.sent.Add(uint64(sent))
-	if err != nil {
+	sent, err := bt.SendBatch(ring.pkts[:n])
+	if err != nil && sent < n {
+		t.sent.Add(uint64(sent))
 		return err
 	}
+	t.sent.Add(uint64(n))
 	if e.prog != nil {
-		e.prog.mark(w, attempt, consumed)
+		e.prog.mark(w, consumed)
 	}
 	pc.waitN(n)
 	return nil
-}
-
-// sendBatchRetry transmits one ring's worth, retrying transient errors
-// with the configured backoff, and returns how many packets went out.
-// Partial progress is kept (a transport reports how many packets it
-// accepted before the error) and each failing probe gets the whole
-// retry budget, as if sent alone. The error is nil on success,
-// ctx.Err() when cancelled mid-backoff, and the terminal error
-// otherwise.
-func (e *engine) sendBatchRetry(ctx context.Context, bt BatchTransport, pkts [][]byte) (int, error) {
-	n, err := bt.SendBatch(pkts)
-	if err == nil || n >= len(pkts) {
-		return len(pkts), nil
-	}
-	if e.retry == nil || !Transient(err) {
-		return n, err
-	}
-	for try := 1; try <= e.retry.Attempts; try++ {
-		// The backoff jitter is keyed by the failing probe's content,
-		// like the fault schedule itself: deterministic for a fixed scan,
-		// decorrelated across probes.
-		t := time.NewTimer(e.retry.backoff(foldBytes(e.cfg.Seed, pkts[n]), try))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return n, ctx.Err()
-		case <-t.C:
-		}
-		var m int
-		m, err = bt.SendBatch(pkts[n:])
-		if n += m; err == nil || n >= len(pkts) {
-			return len(pkts), nil
-		}
-		if !Transient(err) {
-			return n, err
-		}
-		if m > 0 {
-			try = 0 // a later probe is failing now, for its first time
-		}
-	}
-	return n, fmt.Errorf("zmap: %d retries exhausted: %w", e.retry.Attempts, err)
 }
 
 // receiveBatch drains worker w's transport in RecvBatch strides until

@@ -241,36 +241,6 @@ func TestScanContextCancel(t *testing.T) {
 	}
 }
 
-func TestScanProbesPerTarget(t *testing.T) {
-	w := simnet.TestWorld(26)
-	p, _ := w.ProviderByASN(65001)
-	pool := p.Pools[0]
-	var c *simnet.CPE
-	for i := range pool.CPEs() {
-		if !pool.CPEs()[i].Silent {
-			c = &pool.CPEs()[i]
-			break
-		}
-	}
-	wan := pool.WANAddrNow(c)
-	ts := AddrTargets{wan}
-	count := 0
-	st, err := ScanWorkers(context.Background(), loopbackFactory(w), ts, Config{
-		Source: vantage, ProbesPerTarget: 3, Seed: 1, Workers: 1,
-	}, func(r Result) {
-		if !r.IsEcho() {
-			t.Errorf("probe to WAN returned %s", icmp6.TypeName(r.Type, r.Code))
-		}
-		count++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Sent != 3 || count != 3 {
-		t.Fatalf("sent %d, received %d, want 3/3", st.Sent, count)
-	}
-}
-
 // echoValidateRaw parses then validates, the path the engine's deliver
 // stage takes for each inbound packet.
 func echoValidateRaw(t *testing.T, b []byte, seed uint64) (Result, bool) {

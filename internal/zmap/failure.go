@@ -4,25 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
-// ErrTransient classifies recoverable transport faults: errors wrapping
-// it (a fault-injected send error, an injected recv timeout) are
-// retryable under RetryBackoff, while everything else — a closed
-// socket, a dead transport — is terminal for the worker that hit it.
-// Real transports may adopt the same convention; today only
-// FaultTransport produces transient errors, which is exactly what the
-// failure-path tests need.
+// ErrTransient classifies recoverable receive-side faults: a Recv error
+// wrapping it (a stall or timeout that consumed no packet) leaves the
+// receiver draining, while every other transport error — a failed
+// send, a closed socket, a dead transport — is terminal for the worker
+// that hit it and goes to the scan's FailurePolicy. Today only
+// FaultTransport's injected receive stalls produce it.
 var ErrTransient = errors.New("transient transport fault")
 
 // Transient reports whether err is a recoverable transport fault.
 func Transient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // FailurePolicy selects how a scan responds to transport errors. The
-// three implementations — AbortAll, RetryBackoff, QuarantineWorker —
-// are the whole contract (the interface is sealed); nil means AbortAll.
-// DESIGN.md §9 tabulates the guarantees each policy keeps.
+// two implementations — AbortAll, QuarantineWorker — are the whole
+// contract (the interface is sealed); nil means AbortAll. DESIGN.md §9
+// tabulates the guarantees each policy keeps.
 type FailurePolicy interface{ failurePolicy() }
 
 // AbortAll is the historical default: the first transport error cancels
@@ -32,66 +30,12 @@ type AbortAll struct{}
 
 func (AbortAll) failurePolicy() {}
 
-// RetryBackoff retries transient send errors with exponential backoff
-// and deterministic jitter before giving up. A non-transient error, or
-// a probe still failing after Attempts retries, aborts the scan like
-// AbortAll. Transient recv errors are always survived (the receiver
-// keeps draining), independent of policy.
-type RetryBackoff struct {
-	// Attempts is the number of re-sends per failing probe (default 3).
-	Attempts int
-	// Base is the first retry's backoff (default 1ms); each further
-	// retry doubles it, capped at Max (default 100ms). The actual sleep
-	// is jittered into [d/2, d] by a hash of (seed, probe bytes, try),
-	// so retries are deterministic for a fixed scan yet decorrelated
-	// across probes.
-	Base, Max time.Duration
-}
-
-func (RetryBackoff) failurePolicy() {}
-
-func (r RetryBackoff) fill() RetryBackoff {
-	if r.Attempts <= 0 {
-		r.Attempts = 3
-	}
-	if r.Base <= 0 {
-		r.Base = time.Millisecond
-	}
-	if r.Max <= 0 {
-		r.Max = 100 * time.Millisecond
-	}
-	if r.Max < r.Base {
-		r.Max = r.Base
-	}
-	return r
-}
-
-// backoff returns the jittered delay before retry try (1-based) of a
-// probe whose bytes hash to probeHash under the scan seed.
-func (r RetryBackoff) backoff(probeHash uint64, try int) time.Duration {
-	d := r.Max
-	if try-1 < 32 {
-		if exp := r.Base << (try - 1); exp > 0 && exp < r.Max {
-			d = exp
-		}
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(hashWord(probeHash, uint64(try))%uint64(half+1))
-}
-
 // QuarantineWorker degrades gracefully instead of aborting: a worker
-// whose transport dies is quarantined — its unfinished sub-shard is
+// whose transport fails is quarantined — its unfinished sub-shard is
 // recorded in the scan's checkpoint — while the surviving workers
 // finish theirs. The scan then returns its partial Stats along with a
 // *PartialError carrying the resumable remainder.
-type QuarantineWorker struct {
-	// Retry optionally retries transient errors (RetryBackoff
-	// semantics) before the terminal error quarantines the worker.
-	Retry *RetryBackoff
-}
+type QuarantineWorker struct{}
 
 func (QuarantineWorker) failurePolicy() {}
 

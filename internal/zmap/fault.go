@@ -17,14 +17,6 @@ type FaultPlan struct {
 	// Seed keys every fault decision. Zero is a valid seed.
 	Seed uint64
 
-	// SendFailProb injects a transient send error (wrapping ErrTransient)
-	// for the matching fraction of probes, keyed by probe content.
-	SendFailProb float64
-	// SendFailTries is how many consecutive times a matching probe's
-	// send fails before succeeding (default 1) — under RetryBackoff a
-	// plan with SendFailTries < Attempts+1 always recovers.
-	SendFailTries int
-
 	// DropProb silently discards the matching fraction of inbound
 	// packets, keyed by response content.
 	DropProb float64
@@ -64,21 +56,16 @@ type FaultTransport struct {
 	plan    FaultPlan
 	wseed   uint64 // worker-derived, for worker-local faults only
 	sent    uint64 // successful sends, for DieAfterSends
-	fails   map[uint64]int
 	recvN   uint64 // worker-local Recv call index, for stalls
 	pending []byte // duplicate waiting for redelivery
 }
 
 // NewFaultTransport wraps inner for the given worker under plan.
 func NewFaultTransport(inner Transport, plan FaultPlan, worker int) *FaultTransport {
-	if plan.SendFailTries <= 0 {
-		plan.SendFailTries = 1
-	}
 	return &FaultTransport{
 		inner: inner,
 		plan:  plan,
 		wseed: plan.Seed ^ uint64(worker)*hashSeed,
-		fails: make(map[uint64]int),
 	}
 }
 
@@ -112,13 +99,6 @@ func probHit(h uint64, p float64) bool {
 func (f *FaultTransport) Send(pkt []byte) error {
 	if f.plan.DieAfterSends > 0 && f.sent >= f.plan.DieAfterSends {
 		return errTransportDead
-	}
-	if f.plan.SendFailProb > 0 {
-		h := foldBytes(f.plan.Seed, pkt)
-		if probHit(hashWord(h, 0x5e4d), f.plan.SendFailProb) && f.fails[h] < f.plan.SendFailTries {
-			f.fails[h]++
-			return fmt.Errorf("fault-injected send error: %w", ErrTransient)
-		}
 	}
 	if err := f.inner.Send(pkt); err != nil {
 		return err

@@ -3,16 +3,8 @@ package zmap
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
-	"time"
 )
-
-// fastRetry keeps the failure-path tests quick: microsecond backoff,
-// same exponential/jitter machinery.
-func fastRetry() RetryBackoff {
-	return RetryBackoff{Attempts: 3, Base: time.Microsecond, Max: 50 * time.Microsecond}
-}
 
 // TestFaultScheduleDeterminism pins the fault injector's cross-worker
 // contract: fault decisions are keyed by (seed, packet content), so the
@@ -22,11 +14,10 @@ func fastRetry() RetryBackoff {
 func TestFaultScheduleDeterminism(t *testing.T) {
 	ts := testTargets(t)
 	plan := FaultPlan{
-		Seed:         909,
-		SendFailProb: 0.2, // transient, recovered by RetryBackoff
-		DropProb:     0.15,
-		DupProb:      0.1,
-		StallProb:    0.05, // worker-local, must not affect the result set
+		Seed:      909,
+		DropProb:  0.15,
+		DupProb:   0.1,
+		StallProb: 0.05, // worker-local, must not affect the result set
 	}
 	type outcome struct {
 		sent    uint64
@@ -34,10 +25,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 	runs := map[int]outcome{}
 	for _, workers := range []int{1, 2, 4} {
-		cfg := Config{
-			Source: vantage, Seed: 55, Workers: workers,
-			Failure: fastRetry(),
-		}
+		cfg := Config{Source: vantage, Seed: 55, Workers: workers}
 		rs := newResultSet()
 		stats, err := ScanSource(context.Background(),
 			faultFactory(func(int) FaultPlan { return plan }),
@@ -49,7 +37,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 	ref := runs[1]
 	if ref.sent != ts.Len() {
-		t.Fatalf("sent %d probes, want %d (every transient fault recovered)", ref.sent, ts.Len())
+		t.Fatalf("sent %d probes, want %d (receive faults never cost a send)", ref.sent, ts.Len())
 	}
 	if len(ref.results) == 0 {
 		t.Fatal("no results under fault injection")
@@ -115,59 +103,6 @@ func TestFaultTransportDropsAndDups(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffRecoversTransients: under RetryBackoff, a scan whose
-// transport fails transiently (fewer consecutive failures than retry
-// attempts) completes cleanly with the fault-free result set.
-func TestRetryBackoffRecoversTransients(t *testing.T) {
-	ts := testTargets(t)
-	base := Config{Source: vantage, Seed: 13, Workers: 2}
-
-	ref := newResultSet()
-	refStats, err := ScanSource(context.Background(),
-		faultFactory(func(int) FaultPlan { return FaultPlan{} }),
-		NewPermutedSource(ts), base, ref.handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := base
-	cfg.Failure = fastRetry()
-	got := newResultSet()
-	stats, err := ScanSource(context.Background(),
-		faultFactory(func(int) FaultPlan {
-			return FaultPlan{Seed: 3, SendFailProb: 0.5, SendFailTries: 2}
-		}),
-		NewPermutedSource(ts), cfg, got.handler)
-	if err != nil {
-		t.Fatalf("retried scan failed: %v", err)
-	}
-	if stats.Sent != refStats.Sent {
-		t.Fatalf("sent %d, want %d", stats.Sent, refStats.Sent)
-	}
-	if !equalStrings(got.keys(), ref.keys()) {
-		t.Fatal("retried scan's results differ from fault-free scan")
-	}
-}
-
-// TestRetryBackoffExhaustionAborts: a probe that keeps failing past the
-// retry budget aborts the scan (AbortAll semantics), and the surfaced
-// error still classifies as transient for the caller.
-func TestRetryBackoffExhaustionAborts(t *testing.T) {
-	ts := testTargets(t)
-	cfg := Config{Source: vantage, Seed: 13, Workers: 2, Failure: fastRetry()}
-	_, err := ScanSource(context.Background(),
-		faultFactory(func(int) FaultPlan {
-			return FaultPlan{Seed: 3, SendFailProb: 0.5, SendFailTries: math.MaxInt32}
-		}),
-		NewPermutedSource(ts), cfg, nil)
-	if err == nil {
-		t.Fatal("exhausted retries did not abort")
-	}
-	if !Transient(err) {
-		t.Fatalf("exhaustion error %v does not wrap ErrTransient", err)
-	}
-}
-
 // TestQuarantineWorkerPartialResults: a worker whose transport dies is
 // quarantined, the survivors finish, and the scan returns partial
 // results plus a resumable remainder instead of nothing.
@@ -210,14 +145,14 @@ func TestQuarantineWorkerPartialResults(t *testing.T) {
 		t.Fatalf("partial scan sent %d of %d", stats.Sent, refStats.Sent)
 	}
 	cp := pe.Checkpoint
-	if cp.Complete() {
+	if covered(cp) >= ts.Len() {
 		t.Fatal("partial checkpoint claims completion")
 	}
-	if cp.Marks[1].Attempt != 0 || cp.Marks[1].Done != 4 {
-		t.Fatalf("dead worker's mark = %+v, want attempt 0 done 4", cp.Marks[1])
+	if cp.Marks[1] != 4 {
+		t.Fatalf("dead worker's mark = %d, want 4", cp.Marks[1])
 	}
-	if cp.Marks[0].Attempt != cp.Attempts {
-		t.Fatalf("survivor's mark = %+v, want finished (attempt %d)", cp.Marks[0], cp.Attempts)
+	if cp.Marks[0] != stats.Sent-4 {
+		t.Fatalf("survivor's mark = %d, want finished (its %d sends)", cp.Marks[0], stats.Sent-4)
 	}
 	// Partial results are a subset of the reference set.
 	for k := range got.m {
@@ -245,32 +180,6 @@ func TestFaultTransportDeath(t *testing.T) {
 		if Transient(err) {
 			t.Fatal("death classified as transient")
 		}
-	}
-}
-
-// TestRetryBackoffSchedule pins the backoff envelope: exponential from
-// Base, capped at Max, jittered into [d/2, d], deterministic per
-// (probe, try).
-func TestRetryBackoffSchedule(t *testing.T) {
-	r := RetryBackoff{Base: time.Millisecond, Max: 8 * time.Millisecond}.fill()
-	for try := 1; try <= 8; try++ {
-		d := time.Duration(0)
-		if try-1 < 8 {
-			d = r.Base << (try - 1)
-		}
-		if d <= 0 || d > r.Max {
-			d = r.Max
-		}
-		got := r.backoff(0xabcd, try)
-		if got < d/2 || got > d {
-			t.Errorf("try %d: backoff %v outside [%v, %v]", try, got, d/2, d)
-		}
-		if got != r.backoff(0xabcd, try) {
-			t.Errorf("try %d: backoff not deterministic", try)
-		}
-	}
-	if (RetryBackoff{}).fill().Attempts != 3 {
-		t.Error("default attempts != 3")
 	}
 }
 

@@ -61,7 +61,8 @@ type RawValidator interface {
 // Prober builds the wire bytes of one worker's probes.
 type Prober interface {
 	// MakeProbe returns the full probe packet for target at sweep
-	// position pos (0 <= pos < Multiplier()) and re-probe attempt. The
+	// position pos (0 <= pos < Multiplier()) and re-probe attempt; every
+	// scan is one pass, so the engine always passes attempt 0. The
 	// returned slice may alias internal state: it is valid until the
 	// next MakeProbe call, and the caller must not retain it.
 	MakeProbe(target ip6.Addr, pos, attempt int) []byte
@@ -74,8 +75,8 @@ type Result struct {
 	Type   uint8
 	Code   uint8
 	// Seq is the module-defined sequence recovered from the response:
-	// the re-probe attempt for single-position modules, the hop limit
-	// for hop-limit sweeps.
+	// the re-probe attempt (0 in engine scans) for single-position
+	// modules, the hop limit for hop-limit sweeps.
 	Seq uint16
 	// Worker identifies which scan worker produced the result,
 	// 0 <= Worker < Config.NumWorkers(). Handlers that opt into

@@ -56,14 +56,13 @@ func (s *Scanner) factory(int) (Transport, error) { return s.NewTransport() }
 // match is called from every worker concurrently and must be a pure
 // predicate. A find is ranked by its target's place in the permutation,
 // which names one probe only when each target gets exactly one, so the
-// configuration must have ProbesPerTarget 1 and a single-position module.
+// module must have a single position per target.
 func (s *Scanner) ScanUntil(ctx context.Context, ts TargetSet, salt uint64, match func(Result) bool) (*Result, uint64, Stats, error) {
 	cfg := s.Config
 	cfg.fill()
 	cfg.Seed = ScanSeed(cfg.Seed, salt)
-	if cfg.ProbesPerTarget > 1 || cfg.multiplier() > 1 {
-		return nil, 0, Stats{}, fmt.Errorf("zmap: ScanUntil needs one probe per target, have %d x %d",
-			cfg.ProbesPerTarget, cfg.multiplier())
+	if m := cfg.multiplier(); m > 1 {
+		return nil, 0, Stats{}, fmt.Errorf("zmap: ScanUntil needs one probe per target, module has %d positions", m)
 	}
 	stop := &earlyStop{match: match}
 	stop.ord.Store(noOrdinal)

@@ -117,16 +117,18 @@ func TestScanUntilDeterministic(t *testing.T) {
 }
 
 // TestScanUntilNeedsOneProbePerTarget: a find is ranked by its target,
-// so configurations that probe a target more than once are refused.
+// so a module that probes a target at more than one position is
+// refused.
 func TestScanUntilNeedsOneProbePerTarget(t *testing.T) {
 	w := simnet.TestWorld(61)
 	sc := &zmap.Scanner{
 		NewTransport: func() (zmap.Transport, error) { return zmap.NewLoopback(w, 0), nil },
-		Config:       zmap.Config{Source: ip6.MustParseAddr("2620:11f:7000::53"), ProbesPerTarget: 2},
+		Config: zmap.Config{Source: ip6.MustParseAddr("2620:11f:7000::53"),
+			Module: zmap.TCPSynModule{Ports: 2}},
 	}
 	ts := zmap.AddrTargets{ip6.MustParseAddr("2001:db8:10::1")}
 	if _, _, _, err := sc.ScanUntil(context.Background(), ts, 0, func(zmap.Result) bool { return true }); err == nil {
-		t.Fatal("ScanUntil accepted ProbesPerTarget 2")
+		t.Fatal("ScanUntil accepted a two-position module")
 	}
 }
 

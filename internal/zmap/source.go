@@ -21,20 +21,20 @@ import (
 // round's targets — the paper's follow-the-scent workflow.
 //
 // Determinism contract: the union over shards and workers of the pairs
-// a source emits in one attempt pass must not depend on cfg.Workers or
+// a source emits in one scan must not depend on cfg.Workers or
 // the shard split, and each worker's order must be a pure function of
 // (cfg, worker). Sources built on shardFilter inherit this from the
 // engine's historical two-level partitioning.
 type TargetSource interface {
 	// Positions returns the number of (target, sweep-position) pairs one
-	// attempt pass emits across all shards and workers, when known.
+	// scan emits across all shards and workers, when known.
 	// Generator-backed sources whose spaces are too large to count
 	// return ok=false; the engine then relies on the streams themselves
 	// to end, or on cancellation.
 	Positions(cfg *Config) (n uint64, ok bool)
-	// Stream returns worker w's probe stream for one attempt pass under
-	// the filled configuration cfg. It is called once per worker per
-	// attempt, so streams may hold non-thread-safe iteration state.
+	// Stream returns worker w's probe stream for one scan under the
+	// filled configuration cfg. It is called once per worker per scan,
+	// so streams may hold non-thread-safe iteration state.
 	Stream(cfg *Config, worker int) (Stream, error)
 }
 
@@ -124,8 +124,8 @@ type PermutedSource struct {
 	ts TargetSet
 
 	// The multiplicative group depends only on the domain, so it is
-	// found once and shared by every worker's stream of every attempt
-	// pass (the prime search and generator factorization are the
+	// found once and shared by every worker's stream of every scan over
+	// this source (the prime search and generator factorization are the
 	// expensive part of cycle construction).
 	mu     sync.Mutex
 	domain uint64
@@ -265,7 +265,7 @@ func (s *CandidateSource) params() (subs, nouis, span uint64, subBits int, err e
 	return subs, uint64(len(s.OUIs)), span, subBits, nil
 }
 
-// total returns the exact pair count of one attempt pass. A space whose
+// total returns the exact pair count of one scan. A space whose
 // count overflows a uint64 is an error, not a saturated bound: the
 // stream's 64-bit index could never cover it, and walking it against a
 // clamped counter would re-emit truncated duplicates forever (the

@@ -71,16 +71,15 @@ func responseSet(t *testing.T, w *simnet.World, ts TargetSet, cfg Config) []Resu
 
 // TestTCPSynDeterminism proves the TCP module's engine contract across
 // worker counts 1, 2 and 4: the sent probe set — a (target × port)
-// sweep with re-probe attempts — is byte-identical, and the validated
-// response set against the simulated world is identical too.
+// sweep — is byte-identical, and the validated response set against
+// the simulated world is identical too.
 func TestTCPSynDeterminism(t *testing.T) {
 	ts := testTargets(t)
-	base := Config{Source: vantage, Seed: 3, Workers: 1, ProbesPerTarget: 2,
-		Module: TCPSynModule{Ports: 3}}
+	base := Config{Source: vantage, Seed: 3, Workers: 1, Module: TCPSynModule{Ports: 3}}
 
 	want := rawRecorded(t, ts, base)
-	if uint64(len(want)) != 2*3*ts.Len() {
-		t.Fatalf("sequential engine sent %d probes, want %d", len(want), 2*3*ts.Len())
+	if uint64(len(want)) != 3*ts.Len() {
+		t.Fatalf("sequential engine sent %d probes, want %d", len(want), 3*ts.Len())
 	}
 	for _, workers := range []int{2, 4} {
 		cfg := base

@@ -46,7 +46,7 @@ func udpProbes(t *testing.T, r *recTransport, base uint16) []probe {
 // worker's order is a subsequence of it.
 func TestUDPModuleWorkerDeterminism(t *testing.T) {
 	ts := testTargets(t)
-	base := Config{Source: vantage, Seed: 3, Workers: 1, ProbesPerTarget: 2, Module: UDPModule{}}
+	base := Config{Source: vantage, Seed: 3, Workers: 1, Module: UDPModule{}}
 
 	record := func(cfg Config) [][]probe {
 		cfg.fill()
@@ -66,8 +66,8 @@ func TestUDPModuleWorkerDeterminism(t *testing.T) {
 	}
 
 	seq := record(base)[0]
-	if uint64(len(seq)) != 2*ts.Len() {
-		t.Fatalf("sequential engine sent %d probes, want %d", len(seq), 2*ts.Len())
+	if uint64(len(seq)) != ts.Len() {
+		t.Fatalf("sequential engine sent %d probes, want %d", len(seq), ts.Len())
 	}
 	wantSorted := sortedProbes(seq)
 

@@ -8,33 +8,32 @@ import (
 )
 
 // TestWidthOneIsTheBatchPath: a Batch 0 scan over a non-Exchanger
-// transport is the ring path at width 1, so a fault schedule — transient
-// send errors under RetryBackoff, drops, duplicates, then a worker
-// quarantined by transport death and the scan resumed — yields the same
-// result sets, Stats.Sent and checkpoints at Batch 0 and 64. The death
+// transport is the ring path at width 1, so a fault schedule — drops,
+// duplicates, then a worker quarantined by transport death and the scan
+// resumed — yields the same result sets, Stats.Sent and checkpoints at
+// Batch 0 and 64. The death
 // lands on a multiple of 64 sends so both widths reach it at a flush
 // boundary; TestPartialBatchAccounting covers a death inside a batch.
 func TestWidthOneIsTheBatchPath(t *testing.T) {
 	ts := testTargets(t)
-	plan := FaultPlan{Seed: 909, SendFailProb: 0.2, DropProb: 0.15, DupProb: 0.1}
-	retry := fastRetry()
+	plan := FaultPlan{Seed: 909, DropProb: 0.15, DupProb: 0.1}
 	type outcome struct {
-		retried, partial, resumed []string
-		sent                      [3]uint64
-		partialCP, finalCP        *Checkpoint
+		faulty, partial, resumed []string
+		sent                     [3]uint64
+		partialCP, finalCP       *Checkpoint
 	}
 	run := func(batch int) outcome {
 		var o outcome
-		cfg := Config{Source: vantage, Seed: 55, Workers: 2, Batch: batch, Failure: retry}
+		cfg := Config{Source: vantage, Seed: 55, Workers: 2, Batch: batch}
 		rs := newResultSet()
 		st, err := ScanSource(context.Background(), faultFactory(func(int) FaultPlan { return plan }),
 			NewPermutedSource(ts), cfg, rs.handler)
 		if err != nil {
-			t.Fatalf("batch=%d retried scan: %v", batch, err)
+			t.Fatalf("batch=%d faulty scan: %v", batch, err)
 		}
-		o.retried, o.sent[0] = rs.keys(), st.Sent
+		o.faulty, o.sent[0] = rs.keys(), st.Sent
 
-		cfg.Failure = QuarantineWorker{Retry: &retry}
+		cfg.Failure = QuarantineWorker{}
 		rs = newResultSet()
 		st, err = ScanSource(context.Background(), faultFactory(func(w int) FaultPlan {
 			p := plan
@@ -63,16 +62,16 @@ func TestWidthOneIsTheBatchPath(t *testing.T) {
 		return o
 	}
 	one, wide := run(0), run(64)
-	if one.sent[0] != ts.Len() || one.sent[1]+one.sent[2] != ts.Len() || !one.finalCP.Complete() {
+	if one.sent[0] != ts.Len() || one.sent[1]+one.sent[2] != ts.Len() || covered(one.finalCP) != ts.Len() {
 		t.Fatalf("width 1: sent %v of %d, final checkpoint %+v", one.sent, ts.Len(), one.finalCP)
 	}
-	if one.partialCP.Marks[0] != (WorkerMark{Attempt: 0, Done: 64}) {
-		t.Fatalf("dead worker's mark = %+v, want attempt 0 done 64", one.partialCP.Marks[0])
+	if one.partialCP.Marks[0] != 64 {
+		t.Fatalf("dead worker's mark = %d, want 64", one.partialCP.Marks[0])
 	}
 	if one.sent != wide.sent {
 		t.Errorf("Stats.Sent: width 1 %v, width 64 %v", one.sent, wide.sent)
 	}
-	if !equalStrings(one.retried, wide.retried) || !equalStrings(one.partial, wide.partial) || !equalStrings(one.resumed, wide.resumed) {
+	if !equalStrings(one.faulty, wide.faulty) || !equalStrings(one.partial, wide.partial) || !equalStrings(one.resumed, wide.resumed) {
 		t.Error("result sets differ between width 1 and width 64")
 	}
 	if !reflect.DeepEqual(one.partialCP, wide.partialCP) || !reflect.DeepEqual(one.finalCP, wide.finalCP) {
@@ -100,7 +99,7 @@ func TestPartialBatchAccounting(t *testing.T) {
 	if ft.sent != 75 || stats.Sent != ft.sent {
 		t.Fatalf("Stats.Sent = %d, the transport accepted %d (want 75)", stats.Sent, ft.sent)
 	}
-	if m := pe.Checkpoint.Marks[0]; m != (WorkerMark{Attempt: 0, Done: 64}) {
-		t.Fatalf("mark = %+v, want attempt 0 done 64: the broken batch must be re-probed whole", m)
+	if m := pe.Checkpoint.Marks[0]; m != 64 {
+		t.Fatalf("mark = %d, want 64: the broken batch must be re-probed whole", m)
 	}
 }
