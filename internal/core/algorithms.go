@@ -48,27 +48,37 @@ func (c *Corpus) AllocationSamples(day int) []AllocationSample {
 	defer c.mu.RUnlock()
 	var out []AllocationSample
 	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		// A device may appear in several prefixes on one day (rotation
-		// mid-scan); take the widest same-response span, which is the
-		// conservative reading of Algorithm 1's per-EUI target map.
-		best := -1
-		var asn uint32
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			if d.Day != day {
-				continue
-			}
-			if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b > best {
-				best = b
-				asn = c.asnOfLocked(rec, d)
-			}
-		}
-		if best >= 0 {
-			out = append(out, AllocationSample{IID: iid, ASN: asn, Bits: prefixFromSpan(best)})
+		if a, ok := c.allocSampleLocked(c.iids[iid], day); ok {
+			out = append(out, AllocationSample{IID: iid, ASN: a.asn, Bits: a.bits})
 		}
 	}
 	return out
+}
+
+// allocSampleLocked is Algorithm 1's step for one record and day: false
+// if the IID was not seen that day. A device may appear in several
+// prefixes on one day (rotation mid-scan); take the widest same-response
+// span, which is the conservative reading of Algorithm 1's per-EUI
+// target map, attributed to the AS of the first response that spans it.
+func (c *Corpus) allocSampleLocked(rec *IIDRecord, day int) (sample, bool) {
+	// One day's entries are contiguous in the chronological history, and
+	// days mostly land in order, so look for them from the end.
+	end := len(rec.Days)
+	for end > 0 && rec.Days[end-1].Day > day {
+		end--
+	}
+	best := -1
+	var at *DayObs
+	for i := end - 1; i >= 0 && rec.Days[i].Day == day; i-- {
+		d := &rec.Days[i]
+		if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b >= best {
+			best, at = b, d
+		}
+	}
+	if at == nil {
+		return sample{}, false
+	}
+	return sample{asn: c.OriginASN(at.Resp), bits: prefixFromSpan(best)}, true
 }
 
 // AllocationSizeByAS runs Algorithm 1 in full for one scan day: the
@@ -100,14 +110,16 @@ func (c *Corpus) PoolSamples() []PoolSample {
 	defer c.mu.RUnlock()
 	var out []PoolSample
 	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		out = append(out, PoolSample{
-			IID:  iid,
-			ASN:  c.primaryASNLocked(rec),
-			Bits: prefixFromSpan(spanBits(rec.MinRespHi, rec.MaxRespHi)),
-		})
+		p := poolSample(c.iids[iid])
+		out = append(out, PoolSample{IID: iid, ASN: p.asn, Bits: p.bits})
 	}
 	return out
+}
+
+// poolSample is Algorithm 2's step for one record: its response
+// span as a prefix length, attributed to its primary AS.
+func poolSample(rec *IIDRecord) sample {
+	return sample{asn: primaryASN(rec), bits: prefixFromSpan(spanBits(rec.MinRespHi, rec.MaxRespHi))}
 }
 
 // PoolSizeByAS runs Algorithm 2 in full: the per-AS median of the
@@ -146,29 +158,87 @@ func (c *Corpus) sortedIIDsLocked() []IID {
 	return out
 }
 
-// asnOfLocked attributes one day-observation to an AS.
-func (c *Corpus) asnOfLocked(rec *IIDRecord, d *DayObs) uint32 {
-	if r, ok := c.rib.Lookup(d.Resp); ok {
-		return r.ASN
+// primaryASN is the AS an IID was seen in on the most days; ties go to
+// the lowest ASN.
+func primaryASN(rec *IIDRecord) uint32 {
+	// asDays holds each (AS, day) once, and few records span more than
+	// one or two ASes, so a linear tally is cheap.
+	type tally struct {
+		asn  uint32
+		days int
 	}
-	return 0
+	var buf [4]tally
+	ts := buf[:0]
+	for _, ad := range rec.asDays {
+		i := 0
+		for i < len(ts) && ts[i].asn != ad.asn {
+			i++
+		}
+		if i == len(ts) {
+			ts = append(ts, tally{asn: ad.asn})
+		}
+		ts[i].days++
+	}
+	var best tally
+	for _, t := range ts {
+		if t.days > best.days || t.days == best.days && t.asn < best.asn {
+			best = t
+		}
+	}
+	return best.asn
 }
 
-// primaryASNLocked is the AS an IID was seen in on the most days;
-// ties go to the lowest ASN.
-func (c *Corpus) primaryASNLocked(rec *IIDRecord) uint32 {
-	var best uint32
-	bestDays := 0
-	for _, ad := range rec.asDays {
-		n := 0
-		for _, o := range rec.asDays {
-			if o.asn == ad.asn {
-				n++
-			}
+// sample is one per-device inference of Algorithm 1 or 2: a prefix
+// length (0..64) attributed to an AS.
+type sample struct {
+	asn  uint32
+	bits int
+}
+
+// bitsHist is a histogram of prefix-length samples, one bin per length
+// 0..64.
+type bitsHist struct {
+	n   int
+	bin [65]int
+}
+
+// median is analysis.MedianInt over the histogram's samples: the lower
+// median, s[(n-1)/2] of the sorted samples.
+func (h *bitsHist) median() int {
+	k := (h.n - 1) / 2
+	for bits, n := range h.bin {
+		if k < n {
+			return bits
 		}
-		if n > bestDays || n == bestDays && ad.asn < best {
-			best, bestDays = ad.asn, n
-		}
+		k -= n
 	}
-	return best
+	panic("core: median of an empty histogram")
+}
+
+// asHists holds one bitsHist per AS that has samples.
+type asHists map[uint32]*bitsHist
+
+// add counts (delta +1) or retracts (delta -1) one sample; an AS left
+// with none leaves the map, as the batch per-AS maps hold only ASes
+// that have samples.
+func (t asHists) add(s sample, delta int) {
+	h := t[s.asn]
+	if h == nil {
+		h = new(bitsHist)
+		t[s.asn] = h
+	}
+	h.bin[s.bits] += delta
+	h.n += delta
+	if h.n == 0 {
+		delete(t, s.asn)
+	}
+}
+
+// medians reduces every AS's histogram to its median.
+func (t asHists) medians() map[uint32]int {
+	out := make(map[uint32]int, len(t))
+	for asn, h := range t {
+		out[asn] = h.median()
+	}
+	return out
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"followscent/internal/ip6"
@@ -96,22 +97,14 @@ func (c *Corpus) TimeSeries(iid IID) []TimePoint {
 	if !ok {
 		return nil
 	}
-	seen := map[TimePoint]struct{}{}
-	var out []TimePoint
+	out := make([]TimePoint, len(rec.Days))
 	for i := range rec.Days {
-		tp := TimePoint{Day: rec.Days[i].Day, PrefixHi: rec.Days[i].Resp.High64()}
-		if _, dup := seen[tp]; !dup {
-			seen[tp] = struct{}{}
-			out = append(out, tp)
-		}
+		out[i] = TimePoint{Day: rec.Days[i].Day, PrefixHi: rec.Days[i].Resp.High64()}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Day != out[j].Day {
-			return out[i].Day < out[j].Day
-		}
-		return out[i].PrefixHi < out[j].PrefixHi
+	slices.SortFunc(out, func(a, b TimePoint) int {
+		return cmp.Or(cmp.Compare(a.Day, b.Day), cmp.Compare(a.PrefixHi, b.PrefixHi))
 	})
-	return out
+	return slices.Compact(out)
 }
 
 // DensitySnapshot is one hourly measurement for Figure 10: per /48 of a

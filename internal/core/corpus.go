@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -106,15 +107,27 @@ type Corpus struct {
 	euiCount int
 	others   []ip6.Addr
 	otherSet map[ip6.Addr]struct{}
+
+	// Warm tables, kept current by mergeLocked so that a snapshot
+	// carries the vendor census and the Algorithm 1/2 per-AS medians
+	// without scanning the records: devices per OUI, and per AS a
+	// histogram of Algorithm 1's per-(IID, day) samples and one of
+	// Algorithm 2's per-IID samples.
+	census    map[ip6.OUI]int
+	allocHist asHists
+	poolHist  asHists
 }
 
 // NewCorpus returns an empty corpus attributing addresses via rib.
 func NewCorpus(rib *bgp.Table) *Corpus {
 	return &Corpus{
-		rib:      rib,
-		iids:     make(map[IID]*IIDRecord),
-		days:     make(map[int]struct{}),
-		otherSet: make(map[ip6.Addr]struct{}),
+		rib:       rib,
+		iids:      make(map[IID]*IIDRecord),
+		days:      make(map[int]struct{}),
+		otherSet:  make(map[ip6.Addr]struct{}),
+		census:    make(map[ip6.OUI]int),
+		allocHist: make(asHists),
+		poolHist:  make(asHists),
 	}
 }
 
@@ -208,62 +221,91 @@ func (c *Corpus) addOthersLocked(addrs []ip6.Addr) []ip6.Addr {
 	return slices.Clip(c.others[n:])
 }
 
-// mergeLocked appends the day's observations to their IID records and
-// marks the day present. The caller holds c.mu.
+// mergeLocked appends the day's observations to their IID records,
+// marks the day present and keeps the warm tables current. The caller
+// holds c.mu.
 //
 // Snapshots share each record's slices up to the length they saw, so
 // merging never writes below a record's current length: an in-order
 // day appends past it, and a day that lands before later ones copies
 // the history into a new backing array instead of shifting it in place.
+//
+// The tables are kept by retract-then-add: a touched record's samples
+// leave the histograms before its merge and re-enter after it, which
+// stays exact when a day is merged twice, lands out of order, or moves
+// the record's primary AS.
 func (s *ScanDay) mergeLocked() {
 	c := s.c
 	c.days[s.day] = struct{}{}
-	// Deterministic merge order (map iteration is randomized).
-	keys := make([]dayKey, 0, len(s.agg))
-	for k := range s.agg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].iid != keys[j].iid {
-			return keys[i].iid < keys[j].iid
-		}
-		return keys[i].resp.Less(keys[j].resp)
+	// Deterministic merge order (map iteration is randomized), grouped
+	// by IID: sorted by IID, then by response address.
+	obs := slices.Collect(maps.Values(s.agg))
+	slices.SortFunc(obs, func(a, b *DayObs) int {
+		return cmp.Or(cmp.Compare(a.Resp.IID(), b.Resp.IID()), cmp.Compare(a.Resp.High64(), b.Resp.High64()))
 	})
-	for _, k := range keys {
-		obs := s.agg[k]
-		hi := obs.Resp.High64()
-		rec, ok := c.iids[k.iid]
-		if !ok {
-			rec = &IIDRecord{IID: k.iid, MinRespHi: hi, MaxRespHi: hi}
-			c.iids[k.iid] = rec
+	for i, j := 0, 0; i < len(obs); i = j {
+		iid := IID(obs[i].Resp.IID())
+		for j = i + 1; j < len(obs) && IID(obs[j].Resp.IID()) == iid; j++ {
 		}
-		if !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp.High64() == hi }) {
-			// The IID is fixed, so a new /64 is a new address.
-			rec.prefixCount++
-			c.euiCount++
-		}
-		// A day committed after a later one still lands in day order.
-		at := len(rec.Days)
-		for at > 0 && rec.Days[at-1].Day > s.day {
-			at--
-		}
-		if at == len(rec.Days) {
-			rec.Days = append(rec.Days, *obs)
+		rec, ok := c.iids[iid]
+		if ok {
+			c.tallyLocked(rec, s.day, -1)
 		} else {
-			rec.Days = slices.Concat(rec.Days[:at], []DayObs{*obs}, rec.Days[at:])
+			hi := obs[i].Resp.High64()
+			rec = &IIDRecord{IID: iid, MinRespHi: hi, MaxRespHi: hi}
+			c.iids[iid] = rec
+			if mac, ok := rec.MAC(); ok {
+				c.census[mac.OUI()]++
+			}
 		}
-		if hi < rec.MinRespHi {
-			rec.MinRespHi = hi
+		for _, o := range obs[i:j] {
+			s.appendLocked(rec, o)
 		}
-		if hi > rec.MaxRespHi {
-			rec.MaxRespHi = hi
-		}
-		ad := asDay{asn: c.OriginASN(obs.Resp), day: s.day}
-		if !slices.Contains(rec.asDays, ad) {
-			rec.asDays = append(rec.asDays, ad)
-		}
+		c.tallyLocked(rec, s.day, +1)
 	}
 	s.agg = nil
+}
+
+// tallyLocked adds (delta +1) or retracts (delta -1) rec's samples in
+// the warm tables: its Algorithm 2 pool sample and, if it was seen on
+// day, its Algorithm 1 allocation sample for that day. The caller holds
+// c.mu.
+func (c *Corpus) tallyLocked(rec *IIDRecord, day, delta int) {
+	c.poolHist.add(poolSample(rec), delta)
+	if a, ok := c.allocSampleLocked(rec, day); ok {
+		c.allocHist.add(a, delta)
+	}
+}
+
+// appendLocked merges one aggregated observation of the day into rec.
+func (s *ScanDay) appendLocked(rec *IIDRecord, obs *DayObs) {
+	c := s.c
+	hi := obs.Resp.High64()
+	if !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp.High64() == hi }) {
+		// The IID is fixed, so a new /64 is a new address.
+		rec.prefixCount++
+		c.euiCount++
+	}
+	// A day committed after a later one still lands in day order.
+	at := len(rec.Days)
+	for at > 0 && rec.Days[at-1].Day > s.day {
+		at--
+	}
+	if at == len(rec.Days) {
+		rec.Days = append(rec.Days, *obs)
+	} else {
+		rec.Days = slices.Concat(rec.Days[:at], []DayObs{*obs}, rec.Days[at:])
+	}
+	if hi < rec.MinRespHi {
+		rec.MinRespHi = hi
+	}
+	if hi > rec.MaxRespHi {
+		rec.MaxRespHi = hi
+	}
+	ad := asDay{asn: c.OriginASN(obs.Resp), day: s.day}
+	if !slices.Contains(rec.asDays, ad) {
+		rec.asDays = append(rec.asDays, ad)
+	}
 }
 
 // Lookup returns the record for an IID.

@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,8 +252,9 @@ func TestLoadCorpusTornTailDropped(t *testing.T) {
 
 // derivedFingerprint condenses everything a snapshot answers from: the
 // Save bytes plus the views Save leaves out — the unique-address counts,
-// per-record /64 counts and AS sets, the per-AS inferences' inputs, the
-// vendor census, and the address index for every recorded responder.
+// per-record /64 counts and AS sets, the per-AS inferences and their
+// inputs, the vendor census, and the address index for every recorded
+// responder.
 // Safe to call from any goroutine.
 func derivedFingerprint(snap *core.Snapshot) string {
 	c := snap.Corpus()
@@ -266,6 +269,7 @@ func derivedFingerprint(snap *core.Snapshot) string {
 	for _, day := range snap.Days() {
 		fmt.Fprintf(&buf, "alloc %d %+v\n", day, c.AllocationSamples(day))
 	}
+	fmt.Fprintf(&buf, "allocByAS %v\npoolByAS %v\n", snap.AllocationByAS(), snap.PoolByAS())
 	for _, iid := range c.IIDs() {
 		rec, _ := c.Lookup(iid)
 		fmt.Fprintf(&buf, "iid %016x /64s %d asns %v\n", uint64(iid), rec.PrefixCount(), rec.ASNs())
@@ -415,12 +419,119 @@ func TestSnapshotFenceOutOfOrderDay(t *testing.T) {
 	}
 }
 
+// warmTablesDiff compares what a snapshot carries from the corpus's
+// warm tables with the batch functions over its frozen records:
+// Algorithm 1 pooled over every captured day, Algorithm 2, and an
+// O(records) recount of the vendor census. It returns "" when all three
+// agree.
+func warmTablesDiff(snap *core.Snapshot) string {
+	c := snap.Corpus()
+	var alloc []core.AllocationSample
+	for _, day := range snap.Days() {
+		alloc = append(alloc, c.AllocationSamples(day)...)
+	}
+	census := map[ip6.OUI]int{}
+	for _, iid := range c.IIDs() {
+		if mac, ok := ip6.MACFromEUI64(uint64(iid)); ok {
+			census[mac.OUI()]++
+		}
+	}
+	rows := snap.VendorCensus(ip6.Prefix{})
+	warm := map[ip6.OUI]int{}
+	for _, r := range rows {
+		warm[r.OUI] = r.Devices
+	}
+	var diff strings.Builder
+	if got, want := snap.AllocationByAS(), core.AllocationSizeByAS(alloc); !maps.Equal(got, want) {
+		fmt.Fprintf(&diff, "AllocationByAS %v, batch %v\n", got, want)
+	}
+	if got, want := snap.PoolByAS(), core.PoolSizeByAS(c.PoolSamples()); !maps.Equal(got, want) {
+		fmt.Fprintf(&diff, "PoolByAS %v, batch %v\n", got, want)
+	}
+	if len(rows) != len(warm) || !maps.Equal(warm, census) {
+		fmt.Fprintf(&diff, "census %+v, recount %v\n", rows, census)
+	}
+	return diff.String()
+}
+
+// TestSnapshotWarmTablesEqualBatch: the census and per-AS inferences a
+// snapshot carries from the tables Commit keeps equal the batch
+// functions after every step of a sequence that reaches each way a
+// record's samples change: in-order days, out-of-order days that move a
+// device's primary AS back and forth, a second scan of a day already
+// present that widens one device's allocation span and adds a device of
+// a second vendor, a repeat of an earlier day's scan, and a
+// Save/LoadCorpus round trip.
+func TestSnapshotWarmTablesEqualBatch(t *testing.T) {
+	c := core.NewCorpus(fenceRIB())
+	// Device 0 answers from AS 3320 from day 2 on, so its primary AS is
+	// 3320 with days {0, 3} (a tie goes to the lower ASN), 8881 once day
+	// 1 lands, and 3320 again with day 2.
+	const moved = 3320
+	check := func(step string, wantMoved bool) {
+		t.Helper()
+		snap := c.Snapshot()
+		if d := warmTablesDiff(snap); d != "" {
+			t.Fatalf("after %s: %s", step, d)
+		}
+		if _, ok := snap.PoolByAS()[moved]; ok != wantMoved {
+			t.Fatalf("after %s: AS %d in PoolByAS = %v, want %v: %v", step, moved, ok, wantMoved, snap.PoolByAS())
+		}
+	}
+	ingestFenceDay(c, 0)
+	check("day 0", false)
+	ingestFenceDay(c, 3)
+	check("day 3", true)
+	ingestFenceDay(c, 1)
+	check("out-of-order day 1", false)
+	ingestFenceDay(c, 2)
+	check("out-of-order day 2", true)
+
+	sd := c.NewScanDay(2)
+	resp := fixtureAddr(1, 3)
+	for p := 0; p < 4; p++ {
+		target := ip6.MustParsePrefix(fmt.Sprintf("2001:16b8:%x::/64", 0x140+p*0x20)).Addr().WithIID(resp.IID())
+		sd.Record(target, resp)
+	}
+	other := ip6.MustParsePrefix("2001:16b8:101::/64").Addr().WithIID(ip6.EUI64FromMAC(ip6.MAC{0x00, 0x1a, 0x2b, 0, 0, 9}))
+	sd.Record(other, other)
+	sd.Commit()
+	check("a second scan of day 2", true)
+	for _, a := range c.AllocationSamples(2) {
+		if a.IID == core.IID(resp.IID()) && a.Bits == 64 {
+			t.Fatalf("the second scan of day 2 left device 1 at /64; the fixture no longer widens a span")
+		}
+	}
+	ingestFenceDay(c, 3)
+	check("the same scan of day 3 again", true)
+	ingestFenceDay(c, 4)
+	check("day 4", true)
+
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := core.NewCorpus(fenceRIB())
+	if err := core.LoadCorpus(&buf, loaded); err != nil {
+		t.Fatal(err)
+	}
+	before, after := c.Snapshot(), loaded.Snapshot()
+	if d := warmTablesDiff(after); d != "" {
+		t.Fatalf("after Save and LoadCorpus: %s", d)
+	}
+	if !maps.Equal(before.AllocationByAS(), after.AllocationByAS()) || !maps.Equal(before.PoolByAS(), after.PoolByAS()) ||
+		!slices.Equal(before.VendorCensus(ip6.Prefix{}), after.VendorCensus(ip6.Prefix{})) {
+		t.Fatalf("Save and LoadCorpus changed the warm tables")
+	}
+}
+
 // FuzzLoadCorpus feeds arbitrary bytes to the corpus loader. It never
 // panics; whatever it accepts is a fixed point after one Save (Save of
 // the loaded corpus loads back to identical Save bytes and unique-address
-// counts); and the committed prefix ReplayJournal reports loads to the
+// counts); the committed prefix ReplayJournal reports loads to the
 // same corpus and counts as the whole input, so what a store truncates
-// away was never corpus history.
+// away was never corpus history; and the warm tables the load built
+// equal the batch functions.
 // The seeds are a Save file, a day-by-day journal, one compacted after
 // two days and then appended to, and one whose days arrive out of order.
 func FuzzLoadCorpus(f *testing.F) {
@@ -491,6 +602,9 @@ func FuzzLoadCorpus(f *testing.F) {
 		}
 		if tp, ep := prefix.UniqueAddrs(); tp != total || ep != eui {
 			t.Fatalf("committed prefix counts unique addrs %d/%d, the whole input %d/%d", tp, ep, total, eui)
+		}
+		if d := warmTablesDiff(c.Snapshot()); d != "" {
+			t.Fatalf("warm tables of the loaded corpus differ from the batch functions: %s", d)
 		}
 	})
 }

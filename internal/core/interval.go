@@ -62,7 +62,7 @@ func (c *Corpus) IntervalSamples() []IntervalSample {
 		}
 		out = append(out, IntervalSample{
 			IID:  iid,
-			ASN:  c.primaryASNLocked(rec),
+			ASN:  primaryASN(rec),
 			Days: analysis.Median(gaps),
 		})
 	}

@@ -5,28 +5,24 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
 
 	"followscent/internal/ip6"
 )
 
 // Snapshot is an immutable view of a Corpus at one ingestion boundary:
 // fenced copies of every record header over the live append-only
-// history, plus the derived views the serving layer queries (address →
-// device, OUI → vendor population, per-AS allocation/pool inferences).
-// A Snapshot is safe for unlimited concurrent readers while the
-// originating Corpus keeps ingesting — the corpus never writes below a
-// length a snapshot saw — and every answer it gives is byte-identical
-// to the batch computation over the day set it captured, because it
-// *is* that batch computation over a frozen view.
+// history, plus the derived views the serving layer queries, carried by
+// value: the vendor census (devices per OUI) and the per-AS Algorithm
+// 1/2 medians, read at publish from the tables ScanDay.Commit keeps
+// current. A Snapshot is safe for unlimited concurrent readers while
+// the originating Corpus keeps ingesting — the corpus never writes
+// below a length a snapshot saw — and every answer it gives is
+// byte-identical to the batch computation over the day set it captured.
 type Snapshot struct {
 	c    *Corpus // frozen: never mutated after Snapshot returns
 	days []int
 
-	// Per-AS inferences are derived lazily (once per snapshot): most
-	// commits never see a `pools` query before the next snapshot
-	// supersedes them.
-	inferOnce sync.Once
+	census    map[ip6.OUI]int
 	allocByAS map[uint32]int
 	poolByAS  map[uint32]int
 }
@@ -39,7 +35,8 @@ type Snapshot struct {
 // never writes below a length it has published: later days append past
 // the fence, and an out-of-order day copies a record's history instead
 // of shifting it (see mergeLocked). The non-EUI-64 responder list is
-// fenced the same way; no per-address set is copied.
+// fenced the same way; no per-address set is copied. The census and the
+// per-AS medians are copied out of the warm tables in O(OUIs + ASes).
 func (c *Corpus) Snapshot() *Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -60,12 +57,20 @@ func (c *Corpus) Snapshot() *Snapshot {
 		headers = append(headers, h)
 		cl.iids[iid] = &headers[len(headers)-1]
 	}
-	return &Snapshot{c: cl, days: slices.Sorted(maps.Keys(cl.days))}
+	return &Snapshot{
+		c:         cl,
+		days:      slices.Sorted(maps.Keys(cl.days)),
+		census:    maps.Clone(c.census),
+		allocByAS: c.allocHist.medians(),
+		poolByAS:  c.poolHist.medians(),
+	}
 }
 
 // Corpus exposes the frozen view for the full batch API (TimeSeries,
 // AllocationSamples, Save, …). Callers must treat it as read-only: the
 // snapshot's isolation guarantee is exactly that nothing writes here.
+// The view holds no warm tables, so publish snapshots from the live
+// corpus, not from this view.
 func (s *Snapshot) Corpus() *Corpus { return s.c }
 
 // Days returns the committed scan-day set the snapshot captured,
@@ -96,30 +101,19 @@ type OUICount struct {
 }
 
 // VendorCensus counts devices per vendor OUI, optionally restricted to
-// devices observed inside pool (zero Prefix = whole corpus). Rows are
-// sorted by descending population, ties by OUI, so the census is
-// deterministic.
+// devices observed inside pool (zero Prefix = whole corpus, answered
+// from the carried census). Rows are sorted by descending population,
+// ties by OUI, so the census is deterministic.
 func (s *Snapshot) VendorCensus(pool ip6.Prefix) []OUICount {
-	counts := map[ip6.OUI]int{}
-	for _, iid := range s.c.IIDs() {
-		mac, ok := ip6.MACFromEUI64(uint64(iid))
-		if !ok {
-			continue
-		}
-		if !pool.IsZero() {
-			rec := s.c.iids[iid]
-			in := false
-			for i := range rec.Days {
-				if pool.Contains(rec.Days[i].Resp) {
-					in = true
-					break
-				}
-			}
-			if !in {
-				continue
+	counts := s.census
+	if !pool.IsZero() {
+		counts = map[ip6.OUI]int{}
+		for iid, rec := range s.c.iids {
+			mac, ok := ip6.MACFromEUI64(uint64(iid))
+			if ok && slices.ContainsFunc(rec.Days, func(d DayObs) bool { return pool.Contains(d.Resp) }) {
+				counts[mac.OUI()]++
 			}
 		}
-		counts[mac.OUI()]++
 	}
 	out := make([]OUICount, 0, len(counts))
 	for o, n := range counts {
@@ -134,32 +128,12 @@ func (s *Snapshot) VendorCensus(pool ip6.Prefix) []OUICount {
 	return out
 }
 
-// infer runs the Algorithm 1/2 batch inferences once per snapshot:
-// allocation samples pooled over every captured day, pool samples over
-// the whole corpus, both reduced to per-AS medians.
-func (s *Snapshot) infer() {
-	s.inferOnce.Do(func() {
-		var alloc []AllocationSample
-		for _, day := range s.days {
-			alloc = append(alloc, s.c.AllocationSamples(day)...)
-		}
-		s.allocByAS = AllocationSizeByAS(alloc)
-		s.poolByAS = PoolSizeByAS(s.c.PoolSamples())
-	})
-}
-
 // AllocationByAS is Algorithm 1 over every captured day: the per-AS
 // median customer-allocation prefix length. The returned map is shared
 // — do not modify.
-func (s *Snapshot) AllocationByAS() map[uint32]int {
-	s.infer()
-	return s.allocByAS
-}
+func (s *Snapshot) AllocationByAS() map[uint32]int { return s.allocByAS }
 
 // PoolByAS is Algorithm 2 over the whole captured corpus: the per-AS
 // median rotation-pool prefix length. The returned map is shared — do
 // not modify.
-func (s *Snapshot) PoolByAS() map[uint32]int {
-	s.infer()
-	return s.poolByAS
-}
+func (s *Snapshot) PoolByAS() map[uint32]int { return s.poolByAS }
