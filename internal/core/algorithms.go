@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"followscent/internal/analysis"
 	"followscent/internal/uint128"
@@ -48,37 +49,30 @@ func (c *Corpus) AllocationSamples(day int) []AllocationSample {
 	defer c.mu.RUnlock()
 	var out []AllocationSample
 	for _, iid := range c.sortedIIDsLocked() {
-		if a, ok := c.allocSampleLocked(c.iids[iid], day); ok {
-			out = append(out, AllocationSample{IID: iid, ASN: a.asn, Bits: a.bits})
+		if at, bits := widestOnDay(c.iids[iid], day); at != nil {
+			out = append(out, AllocationSample{IID: iid, ASN: c.OriginASN(at.Resp), Bits: bits})
 		}
 	}
 	return out
 }
 
-// allocSampleLocked is Algorithm 1's step for one record and day: false
-// if the IID was not seen that day. A device may appear in several
-// prefixes on one day (rotation mid-scan); take the widest same-response
-// span, which is the conservative reading of Algorithm 1's per-EUI
-// target map, attributed to the AS of the first response that spans it.
-func (c *Corpus) allocSampleLocked(rec *IIDRecord, day int) (sample, bool) {
-	// One day's entries are contiguous in the chronological history, and
-	// days mostly land in order, so look for them from the end.
-	end := len(rec.Days)
-	for end > 0 && rec.Days[end-1].Day > day {
-		end--
-	}
+// widestOnDay is Algorithm 1's step for one record and day: rec's entry
+// on day with the widest same-response target span, whose AS the sample
+// is attributed to, and that span as a prefix length; nil if the IID
+// was not seen that day. A device may appear in several prefixes on one
+// day (rotation mid-scan); the widest span is the conservative reading
+// of Algorithm 1's per-EUI target map, and a tie goes to the first entry.
+func widestOnDay(rec *IIDRecord, day int) (*DayObs, int) {
+	lo, hi := dayRange(rec.Days, day)
 	best := -1
 	var at *DayObs
-	for i := end - 1; i >= 0 && rec.Days[i].Day == day; i-- {
+	for i := lo; i < hi; i++ {
 		d := &rec.Days[i]
-		if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b >= best {
+		if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b > best {
 			best, at = b, d
 		}
 	}
-	if at == nil {
-		return sample{}, false
-	}
-	return sample{asn: c.OriginASN(at.Resp), bits: prefixFromSpan(best)}, true
+	return at, prefixFromSpan(best)
 }
 
 // AllocationSizeByAS runs Algorithm 1 in full for one scan day: the
@@ -150,17 +144,20 @@ func (c *Corpus) PrefixesPerIID() []int {
 
 // sortedIIDsLocked returns IIDs in sorted order; caller holds c.mu.
 func (c *Corpus) sortedIIDsLocked() []IID {
-	out := make([]IID, 0, len(c.iids))
-	for iid := range c.iids {
-		out = append(out, iid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.AppendSeq(make([]IID, 0, len(c.iids)), maps.Keys(c.iids))
+	slices.Sort(out)
 	return out
 }
 
 // primaryASN is the AS an IID was seen in on the most days; ties go to
 // the lowest ASN.
 func primaryASN(rec *IIDRecord) uint32 {
+	if !rec.multiAS {
+		if len(rec.asDays) == 0 {
+			return 0
+		}
+		return rec.asDays[0].asn
+	}
 	// asDays holds each (AS, day) once, and few records span more than
 	// one or two ASes, so a linear tally is cheap.
 	type tally struct {

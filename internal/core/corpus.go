@@ -37,7 +37,7 @@ type DayObs struct {
 }
 
 // IIDRecord accumulates everything the campaign learned about one EUI-64
-// interface identifier. Its slices are append-only history that
+// interface identifier. Its slices are day-ordered history that
 // snapshots share with the live corpus (see Corpus.Snapshot): once a
 // length is published, nothing below it is ever written again.
 type IIDRecord struct {
@@ -50,8 +50,10 @@ type IIDRecord struct {
 	// observed in (Figure 8).
 	prefixCount int
 	// asDays lists the distinct (origin AS, day) pairs the IID was
-	// observed in, in commit order (§5.5 pathologies).
+	// observed in, in day order (§5.5 pathologies).
 	asDays []asDay
+	// multiAS records that asDays holds more than one AS.
+	multiAS bool
 }
 
 type asDay struct {
@@ -102,9 +104,11 @@ type Corpus struct {
 	TotalProbes    uint64
 	TotalResponses uint64
 	days           map[int]struct{}
-	// Unique responders: euiCount counts the EUI-64 ones (DayObs.Resp);
+	// Unique responders: euiSet holds the EUI-64 ones (DayObs.Resp) and
+	// euiCount counts them for snapshots, which do not copy the set;
 	// others lists the rest, append-only for snapshots; otherSet indexes it.
 	euiCount int
+	euiSet   map[ip6.Addr]struct{}
 	others   []ip6.Addr
 	otherSet map[ip6.Addr]struct{}
 
@@ -124,6 +128,7 @@ func NewCorpus(rib *bgp.Table) *Corpus {
 		rib:       rib,
 		iids:      make(map[IID]*IIDRecord),
 		days:      make(map[int]struct{}),
+		euiSet:    make(map[ip6.Addr]struct{}),
 		otherSet:  make(map[ip6.Addr]struct{}),
 		census:    make(map[ip6.OUI]int),
 		allocHist: make(asHists),
@@ -138,19 +143,15 @@ func NewCorpus(rib *bgp.Table) *Corpus {
 type ScanDay struct {
 	c     *Corpus
 	day   int
-	agg   map[dayKey]*DayObs    // EUI-64 responses by (IID, address); nil once committed
+	agg   map[ip6.Addr]int      // index in obs of each EUI-64 responder; nil once committed
+	obs   []DayObs              // the day's EUI-64 responses, one per responder
 	other map[ip6.Addr]struct{} // the day's non-EUI-64 responders
 	meta  DaySegmentMeta        // see Meta
 }
 
-type dayKey struct {
-	iid  IID
-	resp ip6.Addr
-}
-
 // NewScanDay starts collecting observations for the given day index.
 func (c *Corpus) NewScanDay(day int) *ScanDay {
-	return &ScanDay{c: c, day: day, agg: make(map[dayKey]*DayObs), other: make(map[ip6.Addr]struct{})}
+	return &ScanDay{c: c, day: day, agg: make(map[ip6.Addr]int), other: make(map[ip6.Addr]struct{})}
 }
 
 // Day returns the day index the ScanDay collects.
@@ -171,13 +172,8 @@ func (s *ScanDay) Record(target, from ip6.Addr) {
 		s.other[from] = struct{}{}
 		return
 	}
-	k := dayKey{IID(from.IID()), from}
-	obs, ok := s.agg[k]
-	if !ok {
-		obs = &DayObs{Day: s.day, Resp: from, MinTargetHi: target.High64(), MaxTargetHi: target.High64()}
-		s.agg[k] = obs
-	}
 	hi := target.High64()
+	obs := s.obsFor(from, hi, hi)
 	if hi < obs.MinTargetHi {
 		obs.MinTargetHi = hi
 	}
@@ -185,6 +181,18 @@ func (s *ScanDay) Record(target, from ip6.Addr) {
 		obs.MaxTargetHi = hi
 	}
 	obs.Count++
+}
+
+// obsFor returns the day's aggregate for the EUI-64 responder resp,
+// starting one with the given target span if it has none.
+func (s *ScanDay) obsFor(resp ip6.Addr, minHi, maxHi uint64) *DayObs {
+	i, ok := s.agg[resp]
+	if !ok {
+		i = len(s.obs)
+		s.agg[resp] = i
+		s.obs = append(s.obs, DayObs{Day: s.day, Resp: resp, MinTargetHi: minHi, MaxTargetHi: maxHi})
+	}
+	return &s.obs[i]
 }
 
 // AddProbes accounts probes sent (responsive or not).
@@ -234,22 +242,27 @@ func (c *Corpus) addOthersLocked(addrs []ip6.Addr) []ip6.Addr {
 // leave the histograms before its merge and re-enter after it, which
 // stays exact when a day is merged twice, lands out of order, or moves
 // the record's primary AS.
+//
+// A merge costs O(the day's observations): each one is placed from the
+// tail of its record's day-ordered history, is checked against the
+// corpus's EUI-64 responder set, and costs one RIB lookup.
 func (s *ScanDay) mergeLocked() {
 	c := s.c
 	c.days[s.day] = struct{}{}
 	// Deterministic merge order (map iteration is randomized), grouped
 	// by IID: sorted by IID, then by response address.
-	obs := slices.Collect(maps.Values(s.agg))
-	slices.SortFunc(obs, func(a, b *DayObs) int {
+	obs := s.obs
+	slices.SortFunc(obs, func(a, b DayObs) int {
 		return cmp.Or(cmp.Compare(a.Resp.IID(), b.Resp.IID()), cmp.Compare(a.Resp.High64(), b.Resp.High64()))
 	})
+	asns := make([]uint32, len(obs)) // origin AS of each observation
 	for i, j := 0, 0; i < len(obs); i = j {
 		iid := IID(obs[i].Resp.IID())
 		for j = i + 1; j < len(obs) && IID(obs[j].Resp.IID()) == iid; j++ {
 		}
 		rec, ok := c.iids[iid]
 		if ok {
-			c.tallyLocked(rec, s.day, -1)
+			c.tallyLocked(rec, s.day, -1, c.OriginASN)
 		} else {
 			hi := obs[i].Resp.High64()
 			rec = &IIDRecord{IID: iid, MinRespHi: hi, MaxRespHi: hi}
@@ -258,54 +271,96 @@ func (s *ScanDay) mergeLocked() {
 				c.census[mac.OUI()]++
 			}
 		}
-		for _, o := range obs[i:j] {
-			s.appendLocked(rec, o)
+		for k := i; k < j; k++ {
+			asns[k] = c.OriginASN(obs[k].Resp)
+			c.appendLocked(rec, &obs[k], asns[k])
 		}
-		c.tallyLocked(rec, s.day, +1)
+		// The day's allocation sample comes from one of its responses,
+		// most often one just merged, whose AS is already known.
+		c.tallyLocked(rec, s.day, +1, func(a ip6.Addr) uint32 {
+			for k := i; k < j; k++ {
+				if obs[k].Resp == a {
+					return asns[k]
+				}
+			}
+			return c.OriginASN(a)
+		})
 	}
-	s.agg = nil
+	s.agg, s.obs = nil, nil
 }
 
 // tallyLocked adds (delta +1) or retracts (delta -1) rec's samples in
 // the warm tables: its Algorithm 2 pool sample and, if it was seen on
-// day, its Algorithm 1 allocation sample for that day. The caller holds
-// c.mu.
-func (c *Corpus) tallyLocked(rec *IIDRecord, day, delta int) {
+// day, its Algorithm 1 allocation sample for that day, attributed by
+// origin. The caller holds c.mu.
+func (c *Corpus) tallyLocked(rec *IIDRecord, day, delta int, origin func(ip6.Addr) uint32) {
 	c.poolHist.add(poolSample(rec), delta)
-	if a, ok := c.allocSampleLocked(rec, day); ok {
-		c.allocHist.add(a, delta)
+	if at, bits := widestOnDay(rec, day); at != nil {
+		c.allocHist.add(sample{asn: origin(at.Resp), bits: bits}, delta)
 	}
 }
 
-// appendLocked merges one aggregated observation of the day into rec.
-func (s *ScanDay) appendLocked(rec *IIDRecord, obs *DayObs) {
-	c := s.c
-	hi := obs.Resp.High64()
-	if !slices.ContainsFunc(rec.Days, func(d DayObs) bool { return d.Resp.High64() == hi }) {
-		// The IID is fixed, so a new /64 is a new address.
-		rec.prefixCount++
+// appendLocked merges one aggregated observation, whose response
+// address originates in asn, into rec.
+func (c *Corpus) appendLocked(rec *IIDRecord, obs *DayObs, asn uint32) {
+	if _, ok := c.euiSet[obs.Resp]; !ok {
+		// The IID is fixed, so a new address is a new /64.
+		c.euiSet[obs.Resp] = struct{}{}
 		c.euiCount++
+		rec.prefixCount++
 	}
 	// A day committed after a later one still lands in day order.
-	at := len(rec.Days)
-	for at > 0 && rec.Days[at-1].Day > s.day {
-		at--
-	}
-	if at == len(rec.Days) {
-		rec.Days = append(rec.Days, *obs)
-	} else {
-		rec.Days = slices.Concat(rec.Days[:at], []DayObs{*obs}, rec.Days[at:])
-	}
+	_, at := dayRange(rec.Days, obs.Day)
+	rec.Days = insertFenced(rec.Days, at, *obs)
+	hi := obs.Resp.High64()
 	if hi < rec.MinRespHi {
 		rec.MinRespHi = hi
 	}
 	if hi > rec.MaxRespHi {
 		rec.MaxRespHi = hi
 	}
-	ad := asDay{asn: c.OriginASN(obs.Resp), day: s.day}
-	if !slices.Contains(rec.asDays, ad) {
-		rec.asDays = append(rec.asDays, ad)
+	rec.addASDay(asDay{asn: asn, day: obs.Day})
+}
+
+// addASDay adds ad to rec's (AS, day) pairs unless it is there. Only
+// the pairs of ad's day and later ones are looked at, from the tail.
+func (rec *IIDRecord) addASDay(ad asDay) {
+	at := len(rec.asDays)
+	for at > 0 && rec.asDays[at-1].day >= ad.day {
+		if rec.asDays[at-1] == ad {
+			return
+		}
+		at--
 	}
+	if len(rec.asDays) > 0 && rec.asDays[0].asn != ad.asn {
+		rec.multiAS = true
+	}
+	rec.asDays = insertFenced(rec.asDays, at, ad)
+}
+
+// dayRange returns the bounds [lo, hi) of day's entries in the
+// day-ordered history days, found from its tail: days mostly land in
+// order, so the newest day costs only its own entries.
+func dayRange(days []DayObs, day int) (lo, hi int) {
+	hi = len(days)
+	for hi > 0 && days[hi-1].Day > day {
+		hi--
+	}
+	lo = hi
+	for lo > 0 && days[lo-1].Day == day {
+		lo--
+	}
+	return lo, hi
+}
+
+// insertFenced inserts v at index at of s without writing below
+// len(s): at the end it appends, and anywhere else it copies s into a
+// new backing array, which a snapshot sharing s never sees.
+func insertFenced[T any](s []T, at int, v T) []T {
+	if at == len(s) {
+		return append(s, v)
+	}
+	return slices.Concat(s[:at], []T{v}, s[at:])
 }
 
 // Lookup returns the record for an IID.
@@ -320,12 +375,7 @@ func (c *Corpus) Lookup(iid IID) (*IIDRecord, bool) {
 func (c *Corpus) IIDs() []IID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]IID, 0, len(c.iids))
-	for iid := range c.iids {
-		out = append(out, iid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.sortedIIDsLocked()
 }
 
 // NumIIDs returns the count of distinct EUI-64 IIDs.

@@ -84,15 +84,20 @@ type DaySegmentMeta struct {
 // SaveDay appends one self-contained day segment: the given day's
 // counter deltas and every observation committed for that day. The
 // segment is closed by an `endday` marker — a torn tail (crash
-// mid-append) is recognizable and discarded on load.
+// mid-append) is recognizable and discarded on load. Each record's
+// entries for the day are found from the tail of its history, so the
+// segment costs O(records + the day's observations), not O(history).
 func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "day %d\n", day)
-	c.writeSegmentBodyLocked(bw, meta, func(d int) bool { return d == day })
-	fmt.Fprintf(bw, "endday %d\n", day)
-	if err := bw.Flush(); err != nil {
+	sw := newSegmentWriter(w)
+	sw.intLine("day ", day)
+	c.writeSegmentBodyLocked(sw, meta, func(rec *IIDRecord) []DayObs {
+		lo, hi := dayRange(rec.Days, day)
+		return rec.Days[lo:hi]
+	})
+	sw.intLine("endday ", day)
+	if err := sw.bw.Flush(); err != nil {
 		return fmt.Errorf("core: saving day %d segment: %w", day, err)
 	}
 	return nil
@@ -111,49 +116,98 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	if len(c.days) == 0 {
 		return nil
 	}
-	days := make([]int, 0, len(c.days))
-	for d := range c.days {
-		days = append(days, d)
+	sw := newSegmentWriter(w)
+	sw.buf = append(sw.buf, "snap"...)
+	for _, d := range slices.Sorted(maps.Keys(c.days)) {
+		sw.buf = strconv.AppendInt(append(sw.buf, ' '), int64(d), 10)
 	}
-	sort.Ints(days)
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "snap")
-	for _, d := range days {
-		fmt.Fprintf(bw, " %d", d)
-	}
-	fmt.Fprintln(bw)
-	c.writeSegmentBodyLocked(bw, DaySegmentMeta{
+	sw.endLine()
+	c.writeSegmentBodyLocked(sw, DaySegmentMeta{
 		Probes:        c.TotalProbes,
 		Responses:     c.TotalResponses,
 		NewOtherAddrs: c.others,
-	}, func(int) bool { return true })
-	fmt.Fprintln(bw, "endsnap")
-	if err := bw.Flush(); err != nil {
+	}, func(rec *IIDRecord) []DayObs { return rec.Days })
+	sw.buf = append(sw.buf, "endsnap"...)
+	sw.endLine()
+	if err := sw.bw.Flush(); err != nil {
 		return fmt.Errorf("core: saving snap segment: %w", err)
 	}
 	return nil
 }
 
+// segmentWriter writes journal segment lines, each built with strconv
+// and netip appends in one reused buffer rather than formatted by fmt.
+type segmentWriter struct {
+	bw  *bufio.Writer
+	buf []byte // the line being built
+}
+
+// newSegmentWriter buffers 64 KiB: an obs line is about 100 bytes, so
+// a day of thousands of devices reaches w in a few writes, not one per
+// 4 KiB.
+func newSegmentWriter(w io.Writer) *segmentWriter {
+	return &segmentWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+}
+
+// endLine writes the line built in buf and empties buf. A write error
+// sticks in the bufio.Writer and surfaces at Flush.
+func (sw *segmentWriter) endLine() {
+	sw.bw.Write(append(sw.buf, '\n'))
+	sw.buf = sw.buf[:0]
+}
+
+// intLine writes `key n`; key carries its trailing space.
+func (sw *segmentWriter) intLine(key string, n int) {
+	sw.buf = strconv.AppendInt(append(sw.buf, key...), int64(n), 10)
+	sw.endLine()
+}
+
+// uintLine writes `key n`; key carries its trailing space.
+func (sw *segmentWriter) uintLine(key string, n uint64) {
+	sw.buf = strconv.AppendUint(append(sw.buf, key...), n, 10)
+	sw.endLine()
+}
+
 // writeSegmentBodyLocked writes a segment's counter lines, its addr
 // lines sorted in a copy (m may hold the corpus's shared history), then
-// the obs line of every observation on a day keep accepts, in IID
-// order. The caller holds c.mu.
-func (c *Corpus) writeSegmentBodyLocked(bw *bufio.Writer, m DaySegmentMeta, keep func(day int) bool) {
-	fmt.Fprintf(bw, "probes %d\nresponses %d\n", m.Probes, m.Responses)
+// in IID order the obs line of every observation entries picks from
+// each record's history. The caller holds c.mu.
+func (c *Corpus) writeSegmentBodyLocked(sw *segmentWriter, m DaySegmentMeta, entries func(*IIDRecord) []DayObs) {
+	sw.uintLine("probes ", m.Probes)
+	sw.uintLine("responses ", m.Responses)
 	others := slices.Clone(m.NewOtherAddrs)
 	sort.Slice(others, func(i, j int) bool { return others[i].Less(others[j]) })
 	for _, a := range others {
-		fmt.Fprintf(bw, "addr %s\n", a)
+		sw.buf = a.Netip().AppendTo(append(sw.buf, "addr "...))
+		sw.endLine()
 	}
 	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		for i := range rec.Days {
-			if d := &rec.Days[i]; keep(d.Day) {
-				fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-					uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
-			}
+		ds := entries(c.iids[iid])
+		for i := range ds {
+			sw.buf = appendObsLine(sw.buf, iid, &ds[i])
+			sw.endLine()
 		}
 	}
+}
+
+// appendObsLine appends `obs IID DAY RESP MINHI MAXHI COUNT`, the IID
+// and the target bounds as 16 hex digits.
+func appendObsLine(b []byte, iid IID, d *DayObs) []byte {
+	b = appendHex16(append(b, "obs "...), uint64(iid))
+	b = strconv.AppendInt(append(b, ' '), int64(d.Day), 10)
+	b = d.Resp.Netip().AppendTo(append(b, ' '))
+	b = appendHex16(append(b, ' '), d.MinTargetHi)
+	b = appendHex16(append(b, ' '), d.MaxTargetHi)
+	return strconv.AppendInt(append(b, ' '), int64(d.Count), 10)
+}
+
+// appendHex16 appends v as 16 lower-case hex digits, zero-padded.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // LoadCorpus reads a corpus written by Save, or a journal of SaveDay
@@ -417,15 +471,7 @@ func (s *ScanDay) insertLoaded(resp ip6.Addr, minHi, maxHi uint64, count int) {
 	if !ip6.AddrIsEUI64(resp) {
 		return
 	}
-	k := dayKey{IID(resp.IID()), resp}
-	obs, ok := s.agg[k]
-	if !ok {
-		s.agg[k] = &DayObs{
-			Day: s.day, Resp: resp,
-			MinTargetHi: minHi, MaxTargetHi: maxHi, Count: count,
-		}
-		return
-	}
+	obs := s.obsFor(resp, minHi, maxHi)
 	if minHi < obs.MinTargetHi {
 		obs.MinTargetHi = minHi
 	}

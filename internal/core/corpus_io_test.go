@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -323,8 +327,8 @@ func fenceRIB() *bgp.Table {
 // record field: device 0 moves to the second AS from day 2 on, devices 0
 // and 2 answer from two /64s every day, device 4 shows up on odd days
 // only, device 5 only on days 1 and 4, one non-EUI-64 responder answers
-// every day and another is new each day.
-func ingestFenceDay(c *core.Corpus, day int) {
+// every day and another is new each day. It returns the committed day.
+func ingestFenceDay(c *core.Corpus, day int) *core.ScanDay {
 	addr := func(d, p int) ip6.Addr {
 		a := fixtureAddr(d, p)
 		if d == 0 && day >= 2 {
@@ -348,6 +352,44 @@ func ingestFenceDay(c *core.Corpus, day int) {
 	sd.Record(fixtureAddr(1, 6), ip6.MustParseAddr(fmt.Sprintf("2001:16b8:106::%x", 0x100+day)))
 	sd.AddProbes(16)
 	sd.Commit()
+	return sd
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/journal.golden from the current writer")
+
+// TestJournalGolden pins the journal bytes: the header and each SaveDay
+// segment written right after its commit, then Save of the final
+// corpus, must equal testdata/journal.golden byte for byte. The fence
+// fixture's days land in order, out of order (day 1 after day 3) and
+// twice (day 3), with an AS migration and non-EUI-64 addr lines.
+func TestJournalGolden(t *testing.T) {
+	c := core.NewCorpus(fenceRIB())
+	var got bytes.Buffer
+	if err := core.WriteCorpusJournalHeader(&got); err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range []int{0, 2, 3, 1, 3, 4} {
+		sd := ingestFenceDay(c, day)
+		if err := c.SaveDay(&got, day, sd.Meta()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "journal.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("journal bytes differ from %s:\n%s\nwant:\n%s", golden, got.Bytes(), want)
+	}
 }
 
 // TestSnapshotFenceOutOfOrderDay: a snapshot shares its records' history
@@ -530,8 +572,9 @@ func TestSnapshotWarmTablesEqualBatch(t *testing.T) {
 // the loaded corpus loads back to identical Save bytes and unique-address
 // counts); the committed prefix ReplayJournal reports loads to the
 // same corpus and counts as the whole input, so what a store truncates
-// away was never corpus history; and the warm tables the load built
-// equal the batch functions.
+// away was never corpus history; the warm tables the load built equal
+// the batch functions; and the SaveDay segment of each of its days holds
+// exactly Save's obs lines for that day, in the same order.
 // The seeds are a Save file, a day-by-day journal, one compacted after
 // two days and then appended to, and one whose days arrive out of order.
 func FuzzLoadCorpus(f *testing.F) {
@@ -606,5 +649,26 @@ func FuzzLoadCorpus(f *testing.F) {
 		if d := warmTablesDiff(c.Snapshot()); d != "" {
 			t.Fatalf("warm tables of the loaded corpus differ from the batch functions: %s", d)
 		}
+		for _, day := range c.Days() {
+			var seg bytes.Buffer
+			if err := c.SaveDay(&seg, day, core.DaySegmentMeta{}); err != nil {
+				t.Fatal(err)
+			}
+			want := slices.DeleteFunc(obsLines(once), func(l string) bool { return strings.Fields(l)[2] != strconv.Itoa(day) })
+			if got := obsLines(seg.Bytes()); !slices.Equal(got, want) {
+				t.Fatalf("SaveDay(%d) obs lines\n%s\nSave's for that day\n%s", day, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		}
 	})
+}
+
+// obsLines returns the obs lines of journal bytes, in order.
+func obsLines(journal []byte) []string {
+	var out []string
+	for _, l := range strings.Split(string(journal), "\n") {
+		if strings.HasPrefix(l, "obs ") {
+			out = append(out, l)
+		}
+	}
+	return out
 }

@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -117,6 +120,111 @@ func TestCorpusInvariants(t *testing.T) {
 				return false
 			}
 			if s.Bits < 0 || s.Bits > 64 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorpusCountsAnyCommitOrder: the counts a commit keeps do not
+// depend on the order days land in. Random days are committed shuffled,
+// one of them twice, over two ASes (the script's /64s 8 and 9 sit in a
+// second one). After every commit each record's PrefixCount, ASNs, days
+// per AS and primary AS, and the corpus's UniqueAddrs, equal a recount
+// from the records' histories through the RIB, and the warm tables equal
+// the batch functions.
+func TestCorpusCountsAnyCommitOrder(t *testing.T) {
+	base := ip6.MustParsePrefix("2001:db8::/32")
+	rib := bgp.New()
+	rib.Insert(bgp.Route{Prefix: base, ASN: 65000, Country: "XX"})
+	rib.Insert(bgp.Route{Prefix: ip6.MustParsePrefix("2001:db8:0:8::/61"), ASN: 65001, Country: "YY"})
+	// Device 7 answers from a fixed non-EUI-64 address per /64.
+	resp := func(st obsStep) ip6.Addr {
+		p64 := base.Subprefix(uint64(st.Prefix), 64)
+		if st.Device == 7 {
+			return p64.Addr().WithIID(7)
+		}
+		return p64.Addr().WithIID(ip6.EUI64FromMAC(ip6.MAC{0x38, 0x10, 0xd5, 0, 0, st.Device + 1}))
+	}
+	// recount checks c against its own histories; others holds the
+	// non-EUI-64 responders recorded so far.
+	recount := func(c *core.Corpus, others map[ip6.Addr]struct{}) string {
+		pools := map[core.IID]uint32{}
+		for _, s := range c.PoolSamples() {
+			pools[s.IID] = s.ASN
+		}
+		multi := map[core.IID]core.MultiASIID{}
+		for _, m := range c.MultiASIIDs() {
+			multi[m.IID] = m
+		}
+		eui := 0
+		for _, iid := range c.IIDs() {
+			rec, _ := c.Lookup(iid)
+			prefixes := map[uint64]struct{}{}
+			daysByAS := map[uint32][]int{}
+			for i, d := range rec.Days {
+				if i > 0 && d.Day < rec.Days[i-1].Day {
+					return fmt.Sprintf("IID %016x: history out of day order", uint64(iid))
+				}
+				prefixes[d.Resp.High64()] = struct{}{}
+				asn := c.OriginASN(d.Resp)
+				if ds := daysByAS[asn]; len(ds) == 0 || ds[len(ds)-1] != d.Day {
+					daysByAS[asn] = append(ds, d.Day)
+				}
+			}
+			eui += len(prefixes)
+			asns := slices.Sorted(maps.Keys(daysByAS))
+			primary := asns[0]
+			for _, asn := range asns {
+				if len(daysByAS[asn]) > len(daysByAS[primary]) {
+					primary = asn
+				}
+			}
+			m, isMulti := multi[iid]
+			switch {
+			case rec.PrefixCount() != len(prefixes):
+				return fmt.Sprintf("IID %016x: PrefixCount %d, recount %d", uint64(iid), rec.PrefixCount(), len(prefixes))
+			case !slices.Equal(rec.ASNs(), asns):
+				return fmt.Sprintf("IID %016x: ASNs %v, recount %v", uint64(iid), rec.ASNs(), asns)
+			case pools[iid] != primary:
+				return fmt.Sprintf("IID %016x: primary AS %d, recount %d of %v", uint64(iid), pools[iid], primary, daysByAS)
+			case isMulti != (len(asns) > 1) || isMulti && !reflect.DeepEqual(m.DaysByAS, daysByAS):
+				return fmt.Sprintf("IID %016x: days by AS %v, recount %v", uint64(iid), m.DaysByAS, daysByAS)
+			}
+		}
+		if total, e := c.UniqueAddrs(); e != eui || total != eui+len(others) {
+			return fmt.Sprintf("unique addrs %d/%d, recount %d/%d", total, e, eui+len(others), eui)
+		}
+		return warmTablesDiff(c.Snapshot())
+	}
+	f := func(script obsScript, seed int64) bool {
+		byDay := map[int][]obsStep{}
+		for _, st := range script.Steps {
+			byDay[int(st.Day)] = append(byDay[int(st.Day)], st)
+		}
+		order := slices.Sorted(maps.Keys(byDay))
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		order = append(order, order[rng.Intn(len(order))])
+
+		c := core.NewCorpus(rib)
+		others := map[ip6.Addr]struct{}{}
+		for n, day := range order {
+			sd := c.NewScanDay(day)
+			for _, st := range byDay[day] {
+				a := resp(st)
+				sd.Record(base.Subprefix(uint64(st.Prefix), 64).RandomAddr(uint64(st.Device), uint64(st.Prefix)), a)
+				if !ip6.AddrIsEUI64(a) {
+					others[a] = struct{}{}
+				}
+			}
+			sd.Commit()
+			if d := recount(c, others); d != "" {
+				t.Logf("commit %d of %v (day %d): %s", n, order, day, d)
 				return false
 			}
 		}
