@@ -9,13 +9,14 @@
 //
 //	campaignd [-listen 127.0.0.1:4793] [-seed 42] [-world default|test]
 //	          [-prefix P[,Q,...]] [-days N] [-shards N] [-ttl D]
-//	          [-epoch N] [-daywait D] [-out campaign.corpus]
+//	          [-epoch N] [-out campaign.corpus]
 //
 // The daemon never probes: it builds the same in-process world the
 // nodes use only to resolve the campaign prefixes (seed+discovery,
 // deterministic per -seed) and to attribute results against the BGP
 // table. Scanner nodes probe their own worlds — in-process replicas
-// started with the same -seed and -world, or a shared simnetd. After
+// started with the same -seed and -world, or a shared simnetd whose
+// clock each node sets to the granted day before it scans. After
 // the last day the finished corpus is written to -out and the daemon
 // keeps answering lease asks with done-status until interrupted, so
 // late-polling nodes shut down cleanly.
@@ -46,7 +47,6 @@ type options struct {
 	shards   int
 	ttl      time.Duration
 	epoch    uint64
-	daywait  time.Duration
 	out      string
 }
 
@@ -63,7 +63,6 @@ func campaigndFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.shards, "shards", 8, "shards per day (the unit of lease granularity and node loss)")
 	fs.DurationVar(&o.ttl, "ttl", 10*time.Second, "lease TTL: a node silent this long forfeits its shard")
 	fs.Uint64Var(&o.epoch, "epoch", 0, "epoch fence base; a successor of a dead coordinator must pass a value above every epoch it issued")
-	fs.DurationVar(&o.daywait, "daywait", 0, "real-time wait between campaign days (for nodes probing a simnetd running with -timescale)")
 	fs.StringVar(&o.out, "out", "campaign.corpus", "write the finished corpus here")
 	return o
 }
@@ -127,15 +126,7 @@ func buildCoordinator(ctx context.Context, o *options) (*campaign.Coordinator, *
 		},
 		TTL:       o.ttl,
 		EpochBase: o.epoch,
-		Wait: func(d time.Duration) {
-			env.Wait(d) // keep the local attribution world aligned
-			if o.daywait > 0 {
-				select {
-				case <-time.After(o.daywait):
-				case <-ctx.Done():
-				}
-			}
-		},
+		Wait:      env.Wait, // keep the local attribution world aligned
 		Record: func(day int, results []zmap.Result, probes uint64) error {
 			sd := corpus.NewScanDay(day)
 			for _, r := range results {

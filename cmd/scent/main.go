@@ -479,7 +479,7 @@ func main() {
 	case "campaign":
 		cmdErr = runCampaign(ctx, env, flag.Args()[1:])
 	case "work":
-		cmdErr = runWork(ctx, env, g, flag.Args()[1:])
+		cmdErr = runWork(ctx, env, flag.Args()[1:])
 	case "track":
 		cmdErr = runTrack(ctx, env, flag.Args()[1:])
 	case "trace":
@@ -595,7 +595,7 @@ func writeCheckpointFile(path string, cp *zmap.Checkpoint) error {
 func buildEnv(seedVal uint64, kind, server string) (*experiments.Env, error) {
 	env, err := experiments.BuildEnv(seedVal, kind, server)
 	if err == nil && server != "" {
-		fmt.Printf("probing %s over UDP (run simnetd with -seed %d -world %s)\n", server, seedVal, kind)
+		log.Printf("probing %s over UDP (run simnetd with -seed %d -world %s)", server, seedVal, kind)
 	}
 	return env, err
 }
@@ -689,7 +689,7 @@ func runCampaign(ctx context.Context, env *experiments.Env, args []string) error
 // first lease grant; this side only supplies the node name, its
 // transports and the local engine knobs (-workers, -batch, and the
 // rate limits buildEnv sets for a -server world).
-func runWork(ctx context.Context, env *experiments.Env, g *globalOpts, args []string) error {
+func runWork(ctx context.Context, env *experiments.Env, args []string) error {
 	fs, o := workFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -710,25 +710,15 @@ func runWork(ctx context.Context, env *experiments.Env, g *globalOpts, args []st
 		Logf:   log.Printf,
 		// env.Scanner.NewTransport is the loopback into the in-process
 		// world, or the simnetd UDP dialer when -server is set — exactly
-		// what the single-node commands scan through.
+		// what the single-node commands scan through. Either way it
+		// probes at the replica's clock, which Wait keeps on the day.
 		NewTransport: func(int, int) zmap.TransportFactory {
 			return func(int) (zmap.Transport, error) { return env.Scanner.NewTransport() }
 		},
+		Wait: env.Wait,
 	}
 	if o.quarantine {
 		w.Failure = zmap.QuarantineWorker{}
-	}
-	if g.server == "" {
-		// In-process world: this node probes its own same-seed replica,
-		// so its clock must follow the campaign day. A shared simnetd
-		// owns its clock instead (-timescale, with campaignd -daywait).
-		last := 0
-		w.AdvanceTo = func(day int) {
-			if day > last {
-				env.Wait(time.Duration(day-last) * 24 * time.Hour)
-				last = day
-			}
-		}
 	}
 	log.Printf("node %s: leasing shards from %s", name, o.coordinator)
 	return w.Run(ctx)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 
@@ -31,6 +33,24 @@ func TestBuildEnv(t *testing.T) {
 	}
 	if envR.Scanner.Config.Rate == 0 {
 		t.Fatal("remote env not paced")
+	}
+	// With no clock server at the address, a remote transport fails
+	// closed — the dial error wrapped — instead of probing a world whose
+	// clock it could not set.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	envD, err := buildEnv(7, "test", dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := envD.Scanner.NewTransport()
+	var opErr *net.OpError
+	if tr != nil || !errors.As(err, &opErr) || opErr.Op != "dial" {
+		t.Fatalf("NewTransport with no clock server at %s = %v, %v; want a wrapped dial error", dead, tr, err)
 	}
 }
 

@@ -21,13 +21,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"followscent/internal/core"
@@ -59,7 +59,7 @@ func scentdFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 0, "scan workers per pass (0 = GOMAXPROCS)")
 	fs.IntVar(&o.days, "days", 7, "campaign length in days (0 = serve the stored corpus, no ingestion)")
 	fs.StringVar(&o.prefixes, "prefix", "", "comma-separated campaign prefixes (default: run seed+discovery)")
-	fs.BoolVar(&o.track, "track", false, "enable op=track live tracking (dedicated per-request worlds in-process; with -server, tracks share the one Internet and serialize)")
+	fs.BoolVar(&o.track, "track", false, "enable op=track live tracking, each request on a dedicated same-seed world (refused with -server)")
 	return o
 }
 
@@ -76,7 +76,14 @@ func main() {
 	}
 }
 
+// errTrackServer refuses -track with -server: a track scans a world
+// replica of its own, and a simnetd's one world is ingestion's.
+var errTrackServer = errors.New("scentd: -track needs the in-process world; it cannot be combined with -server")
+
 func run(ctx context.Context, o *options) error {
+	if o.track && o.server != "" {
+		return errTrackServer
+	}
 	env, err := experiments.BuildEnv(o.seed, o.world, o.server)
 	if err != nil {
 		return err
@@ -98,7 +105,7 @@ func run(ctx context.Context, o *options) error {
 	}
 	srv := &scentd.Server{Store: store, Logf: log.Printf}
 	if o.track {
-		srv.Track = trackBackend(env, o)
+		srv.Track = trackBackend(o)
 	}
 	serveCtx, stopServe := context.WithCancel(context.Background())
 	serveErr := make(chan error, 1)
@@ -157,29 +164,12 @@ func ingest(ctx context.Context, env *experiments.Env, store *scentd.Store, o *o
 	return nil // done, or interrupted: committed days are durable
 }
 
-// trackBackend wires op=track. An in-process world is deterministic per
-// seed, so every request gets a dedicated session: a fresh same-seed
-// replica with its clock advanced to the serving snapshot's last
-// committed day — tracks run concurrently, off their own clocks, and
-// never perturb the ingestion clock. A -server world is one shared
-// Internet that cannot be replicated, so every session is the shared
-// environment, held under a lock until the track releases it (its
-// probes still interleave with ingestion — combine with care).
-func trackBackend(env *experiments.Env, o *options) *scentd.TrackBackend {
-	if o.server != "" {
-		var mu sync.Mutex
-		return &scentd.TrackBackend{
-			NewSession: func(*core.Snapshot) (*scentd.TrackSession, error) {
-				mu.Lock()
-				return &scentd.TrackSession{
-					Scanner: env.Scanner,
-					RIB:     env.World.RIB(),
-					Wait:    env.Wait,
-					Release: mu.Unlock,
-				}, nil
-			},
-		}
-	}
+// trackBackend wires op=track. The world is deterministic per seed, so
+// every request gets a dedicated session: a fresh same-seed replica
+// with its clock advanced to the serving snapshot's last committed day
+// — tracks run concurrently, off their own clocks, and never perturb
+// the ingestion clock.
+func trackBackend(o *options) *scentd.TrackBackend {
 	return &scentd.TrackBackend{
 		NewSession: func(snap *core.Snapshot) (*scentd.TrackSession, error) {
 			senv, err := experiments.BuildEnv(o.seed, o.world, "")

@@ -9,18 +9,19 @@
 //
 // Usage:
 //
-//	simnetd [-listen 127.0.0.1:4791] [-seed 42] [-world default|test|spec.json] [-timescale 0]
+//	simnetd [-listen 127.0.0.1:4791] [-seed 42] [-world default|test|spec.json]
 //
 // -world names a built-in world (default or test) or a declarative
 // WorldSpec JSON file (see DESIGN.md §11); for a spec file, -seed
-// overrides the spec's seed only when given explicitly. timescale
-// advances the simulated clock by that many virtual seconds per real
-// second (0 freezes time; 86400 makes a real second a virtual day,
-// letting a client watch prefix rotation live).
+// overrides the spec's seed only when given explicitly. The simulated
+// clock is its clients': on TCP at the same address, simnetd answers
+// one request, "set the clock to T", which a -server client sends with
+// its own replica's instant before each scan (simnet.ServeClock).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -34,18 +35,16 @@ import (
 // options holds the daemon's flag values; simnetdFlags is the single
 // source of truth the README docs-drift test checks against.
 type options struct {
-	listen    string
-	seed      uint64
-	world     string
-	timescale float64
+	listen string
+	seed   uint64
+	world  string
 }
 
 func simnetdFlags(fs *flag.FlagSet) *options {
 	o := &options{}
-	fs.StringVar(&o.listen, "listen", "127.0.0.1:4791", "UDP listen address")
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:4791", "listen address: probes over UDP, clock over TCP")
 	fs.Uint64Var(&o.seed, "seed", 42, "world seed (for a spec file, overrides the spec's seed only when set explicitly)")
 	fs.StringVar(&o.world, "world", "default", "world to serve: default, test, or a WorldSpec JSON file")
-	fs.Float64Var(&o.timescale, "timescale", 0, "virtual seconds per real second (0 = frozen)")
 	return o
 }
 
@@ -68,15 +67,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("loading world: %v", err)
 		}
-		seedSet := false
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "seed" {
-				seedSet = true
+				ws.Seed = o.seed
 			}
 		})
-		if seedSet {
-			ws.Seed = o.seed
-		}
 		w, err = simnet.Build(ws)
 		if err != nil {
 			log.Fatalf("building world: %v", err)
@@ -92,6 +87,11 @@ func main() {
 		log.Fatalf("listening: %v", err)
 	}
 	defer conn.Close()
+	// The clock is served on TCP at the UDP socket's host:port.
+	ln, err := net.Listen("tcp", conn.LocalAddr().String())
+	if err != nil {
+		log.Fatalf("listening: %v", err)
+	}
 
 	providers := len(w.Providers())
 	cpes := 0
@@ -100,12 +100,16 @@ func main() {
 			cpes += len(pool.CPEs())
 		}
 	}
-	fmt.Printf("simnetd: serving %s world (seed %d): %d ASes, %d CPE on %s (timescale %gx)\n",
-		o.world, w.Seed(), providers, cpes, conn.LocalAddr(), o.timescale)
+	fmt.Printf("simnetd: serving %s world (seed %d): %d ASes, %d CPE on %s (probes over UDP, clock over TCP)\n",
+		o.world, w.Seed(), providers, cpes, conn.LocalAddr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := w.ServeUDP(ctx, conn, o.timescale); err != nil {
+	clockErr := make(chan error, 1)
+	go func() { clockErr <- w.ServeClock(ctx, ln) }()
+	err = w.ServeUDP(ctx, conn, 0)
+	stop() // ends ServeClock too
+	if err = errors.Join(err, <-clockErr); err != nil {
 		log.Fatalf("serving: %v", err)
 	}
 	probes, resps := w.Stats()

@@ -32,8 +32,8 @@ type Coordinator struct {
 	// Now overrides the lease clock (tests); nil means time.Now.
 	Now func() time.Time
 	// Wait advances 24 hours between days — the same hook as
-	// core.Campaign.Wait. When the simulated world is shared with the
-	// workers (UDP serving), this is the one place its clock moves.
+	// core.Campaign.Wait. It runs after a day retires and before the
+	// next is leased, so no two days' scans overlap.
 	Wait func(time.Duration)
 	// Record receives each finalized day: the merged, deduplicated,
 	// sorted results and the campaign's deterministic probe count for

@@ -44,11 +44,11 @@ type Worker struct {
 	Poll time.Duration
 	// FlushEvery streams results in batches of this many (default 1024).
 	FlushEvery int
-	// AdvanceTo aligns a worker-local simulated world's clock with the
-	// campaign day (the worker is told the day with every grant). Nil
-	// when the world is shared with the coordinator, whose Wait hook
-	// then owns the clock.
-	AdvanceTo func(day int)
+	// Wait advances the node's simulated clock 24 hours per campaign
+	// day, as core.Campaign.Wait does, when a grant names a later day
+	// than the last — before the shard's transports are built, so nodes
+	// sharing a simnetd carry the day to it as they dial.
+	Wait func(time.Duration)
 	// Logf, when set, receives lifecycle lines.
 	Logf func(format string, args ...any)
 
@@ -137,10 +137,10 @@ func (w *Worker) runLease(ctx context.Context, cl *Client, grant Response) error
 		return err
 	}
 	day := grant.Day
-	if w.AdvanceTo != nil && day != w.lastDay {
-		w.AdvanceTo(day)
+	if w.Wait != nil && day > w.lastDay {
+		w.Wait(time.Duration(day-w.lastDay) * 24 * time.Hour)
+		w.lastDay = day
 	}
-	w.lastDay = day
 	ident := Request{Node: w.Name, Day: day, Shard: grant.Shard, Epoch: grant.Epoch}
 
 	sctx, cancel := context.WithCancel(ctx)

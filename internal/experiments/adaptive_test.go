@@ -174,7 +174,7 @@ func adaptiveWorld(seed uint64) *Env {
 			}},
 		}},
 	})
-	return envFor(w, seed)
+	return NewEnvFor(w, seed)
 }
 
 // TestAdaptiveBudgetNeverExceeded pins the budget-aware round

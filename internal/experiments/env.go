@@ -17,7 +17,7 @@ import (
 // paper's "well-connected vantage point in a European IXP".
 var Vantage = ip6.MustParseAddr("2620:11f:7000::53")
 
-// Env binds a world to a prober.
+// Env binds a world to a prober; World's clock is its only clock.
 type Env struct {
 	World   *simnet.World
 	Scanner *zmap.Scanner
@@ -25,28 +25,21 @@ type Env struct {
 
 // NewEnv builds the full default world (DESIGN.md §6).
 func NewEnv(seed uint64) *Env {
-	return envFor(simnet.DefaultWorld(seed), seed)
+	return NewEnvFor(simnet.DefaultWorld(seed), seed)
 }
 
 // NewSmallEnv builds the compact test world — used by benchmarks so a
 // full `go test -bench .` stays minutes, not hours.
 func NewSmallEnv(seed uint64) *Env {
-	return envFor(simnet.TestWorld(seed), seed)
-}
-
-// NewEnvFor binds a prober to an explicitly built world — the entry
-// point for examples and studies over purpose-built fixtures (a vendor
-// fleet, a silent-heavy edge).
-func NewEnvFor(w *simnet.World, seed uint64) *Env {
-	return envFor(w, seed)
+	return NewEnvFor(simnet.TestWorld(seed), seed)
 }
 
 // BuildEnv builds the environment a command names by its -seed, -world
 // (default or test) and -server flags: the in-process world, probed
-// in-process, or — with server set — probed over UDP at a simnetd,
-// rate-limited for a real socket. A remote world still builds the
-// local one for the BGP table and clock control, so the simnetd must
-// run with the same seed and world for attribution to line up.
+// in-process, or — with server set — probed at a simnetd (probeAt). A
+// remote world still builds the local one: its BGP table attributes
+// results and its clock is the only clock, so the simnetd must run with
+// the same seed and world for the two to line up.
 func BuildEnv(seed uint64, world, server string) (*Env, error) {
 	var env *Env
 	switch world {
@@ -58,16 +51,29 @@ func BuildEnv(seed uint64, world, server string) (*Env, error) {
 		return nil, fmt.Errorf("unknown world %q", world)
 	}
 	if server != "" {
-		env.Scanner.NewTransport = func() (zmap.Transport, error) {
-			return zmap.DialUDP(server)
-		}
-		env.Scanner.Config.Rate = 50000
-		env.Scanner.Config.Cooldown = 500 * time.Millisecond
+		env.probeAt(server)
 	}
 	return env, nil
 }
 
-func envFor(w *simnet.World, seed uint64) *Env {
+// probeAt points the scanner at a simnetd, paced for a real socket.
+// Each transport first sets the server's clock to the replica's, so Wait
+// and At reach it, and fails rather than probe at a stale instant.
+func (e *Env) probeAt(server string) {
+	e.Scanner.NewTransport = func() (zmap.Transport, error) {
+		if err := simnet.SetClock(server, e.World.Clock().Now()); err != nil {
+			return nil, fmt.Errorf("experiments: setting the clock of %s: %w", server, err)
+		}
+		return zmap.DialUDP(server)
+	}
+	e.Scanner.Config.Rate = 50000
+	e.Scanner.Config.Cooldown = 500 * time.Millisecond
+}
+
+// NewEnvFor binds a prober to an explicitly built world — the entry
+// point for examples and studies over purpose-built fixtures (a vendor
+// fleet, a silent-heavy edge).
+func NewEnvFor(w *simnet.World, seed uint64) *Env {
 	return &Env{
 		World: w,
 		Scanner: &zmap.Scanner{

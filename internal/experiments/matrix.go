@@ -184,7 +184,7 @@ func NewSpecEnv(spec simnet.WorldSpec, workers int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := envFor(w, spec.Seed)
+	env := NewEnvFor(w, spec.Seed)
 	env.Scanner.Config.Workers = workers
 	return env, nil
 }

@@ -27,7 +27,7 @@ func modalityWorld(seed uint64) *Env {
 			}},
 		}},
 	})
-	return envFor(w, seed)
+	return NewEnvFor(w, seed)
 }
 
 // TestModalityCompleteness is the discovery-completeness ablation: the

@@ -52,7 +52,7 @@ func fleetWorld(seed uint64) (*Env, int, int) {
 			}},
 		}},
 	})
-	return envFor(w, seed), devices, silent
+	return NewEnvFor(w, seed), devices, silent
 }
 
 // TestOUISnowballBeatsPlainSnowball is the acceptance assertion for the

@@ -36,8 +36,7 @@ type TrackBackend struct {
 	// snapshot that answers the request is passed so the session can
 	// align its world clock with the corpus's last committed day (a
 	// tracker probes "today onward", and today is defined by how far
-	// ingestion has advanced). A backend whose sessions share one
-	// environment serializes them itself, through Release.
+	// ingestion has advanced).
 	NewSession func(snap *core.Snapshot) (*TrackSession, error)
 	// WidenBits is the §6 motivated-adversary pool widening (0 = off).
 	WidenBits int
@@ -48,8 +47,6 @@ type TrackSession struct {
 	Scanner *zmap.Scanner
 	RIB     *bgp.Table
 	Wait    func(time.Duration)
-	// Release, when set, is called once the request's track has ended.
-	Release func()
 }
 
 // Serve accepts and handles connections until ctx is cancelled (the
@@ -99,9 +96,6 @@ func (s *Server) track(ctx context.Context, snap *core.Snapshot, req Request) Re
 	sess, err := s.Track.NewSession(snap)
 	if err != nil {
 		return errResponse(snap, "track: session: %v", err)
-	}
-	if sess.Release != nil {
-		defer sess.Release()
 	}
 	tracker := &core.Tracker{
 		Scanner:   sess.Scanner,

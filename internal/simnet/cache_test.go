@@ -41,13 +41,12 @@ func TestOccupancyCacheFollowsClock(t *testing.T) {
 	}
 }
 
-// TestOccupancyCacheAmortizesTimescaleTicks is the regression test for
-// the -timescale serving cost: clock ticks that change no occupancy
-// (the overwhelming majority — simnetd advances 100ms per tick against
-// daily rotation intervals) must not rebuild the pool snapshot. The
-// snapshot's validity window ends exactly at the next reassignment or
-// churn day boundary.
-func TestOccupancyCacheAmortizesTimescaleTicks(t *testing.T) {
+// TestOccupancyCacheAmortizesNoChangeClockMoves is the regression test
+// for clock moves that change no occupancy (Figure 10's hourly waits,
+// Env.At flips, here 100ms steps against daily rotation intervals):
+// they must not rebuild the pool snapshot. The snapshot's validity
+// window ends exactly at the next reassignment or churn day boundary.
+func TestOccupancyCacheAmortizesNoChangeClockMoves(t *testing.T) {
 	w := TestWorld(12)
 	// Park the clock mid-day, past every pool's reassignment window
 	// (Daily-style policies reassign within the first hours of the day).

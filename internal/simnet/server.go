@@ -5,11 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"followscent/internal/netbatch"
+	"followscent/internal/wire"
 )
+
+// ErrTimescale refuses a non-zero ServeUDP timescale.
+var ErrTimescale = errors.New("simnet: ServeUDP timescale must be 0; clients set the clock through ServeClock")
+
+// ErrClockRequest is SetClock's error for a request ServeClock refused.
+var ErrClockRequest = errors.New("simnet: malformed clock request")
 
 // ListenUDP opens the socket ServeUDP answers on, with the kernel
 // buffers bursty batched senders need (8 MiB each way, best-effort)
@@ -26,6 +32,46 @@ func ListenUDP(addr *net.UDPAddr) (*net.UDPConn, error) {
 	return conn, nil
 }
 
+// clockRequest is ServeClock's one request: set the clock to T. The
+// reply is empty, or the refusal's reason.
+type clockRequest struct {
+	Op string    `json:"op"` // "set"
+	T  time.Time `json:"t"`
+}
+
+// ServeClock answers set-clock requests on ln until ctx is cancelled:
+// a client sets the clock to its replica's before it probes (SetClock),
+// so the world answers at the instant the in-process one would. Setting
+// is absolute, so every client of a day may send it; any other op, or
+// a zero time, is refused and moves nothing.
+func (w *World) ServeClock(ctx context.Context, ln net.Listener) error {
+	return wire.Serve(ctx, ln, wire.Handle(func(_ context.Context, req clockRequest) string {
+		switch {
+		case req.Op != "set":
+			return fmt.Sprintf("unknown op %q", req.Op)
+		case req.T.IsZero():
+			return "zero time"
+		}
+		w.clock.Set(req.T)
+		return ""
+	}), nil)
+}
+
+// SetClock sets the clock of the world ServeClock serves at addr to t,
+// in one round trip on a fresh connection. A refusal is ErrClockRequest.
+func SetClock(addr string, t time.Time) error {
+	c, err := wire.Dial[clockRequest, string](addr)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	refusal, err := c.Do(clockRequest{Op: "set", T: t})
+	if err == nil && refusal != "" {
+		err = fmt.Errorf("%w at %s: %s", ErrClockRequest, addr, refusal)
+	}
+	return err
+}
+
 // ServeUDP answers ICMPv6-in-UDP probes on conn until ctx is cancelled:
 // each datagram is one raw IPv6+ICMPv6 packet, answered (or not) exactly
 // as the simulated Internet would. This is the backend for cmd/simnetd
@@ -40,36 +86,14 @@ func ListenUDP(addr *net.UDPAddr) (*net.UDPConn, error) {
 // world's observable behavior is bit-identical whether probes arrive
 // singly or in batches. Only the syscall count differs.
 //
-// timescale > 0 advances the virtual clock by timescale seconds per real
-// second while serving (0 keeps time frozen).
+// timescale must be 0 (ErrTimescale): the clock moves only when a
+// client sets it through ServeClock.
 func (w *World) ServeUDP(ctx context.Context, conn *net.UDPConn, timescale float64) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-
-	if timescale > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(100 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					w.clock.Advance(time.Duration(timescale * float64(100*time.Millisecond)))
-				}
-			}
-		}()
+	if timescale != 0 {
+		return ErrTimescale
 	}
-
 	// Unblock the read loop on cancellation.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-ctx.Done()
-		_ = conn.SetReadDeadline(time.Now())
-	}()
+	defer context.AfterFunc(ctx, func() { _ = conn.SetReadDeadline(time.Now()) })()
 
 	// For a socket not opened by ListenUDP; best-effort.
 	_ = conn.SetReadBuffer(8 << 20)

@@ -177,9 +177,9 @@ type Pool struct {
 
 	// occ caches the pool's occupancy over one validity window (see
 	// occCache). Scans freeze the clock, so a whole scan pass hits one
-	// snapshot and per-probe occupant lookup is a single map read; under
-	// -timescale serving the clock moves every tick, and the window
-	// bound keeps ticks that change nothing from rebuilding anything.
+	// snapshot and per-probe occupant lookup is a single map read; the
+	// window bound keeps clock moves that change nothing (Figure 10's
+	// hourly waits, Env.At flips) from rebuilding anything.
 	occ atomic.Pointer[occCache]
 	// occBuilds counts snapshot rebuilds (amortization regression tests
 	// and capacity planning).
@@ -192,8 +192,8 @@ type Pool struct {
 // inverse-permutation walk of the rotation policy with an O(1) lookup;
 // the snapshot is rebuilt the first time the pool is probed at an
 // instant outside [at, until) — the window ends at the earliest
-// reassignment or churn day boundary, so -timescale clock ticks that
-// change nothing cost O(1) per pool instead of an O(devices) rebuild.
+// reassignment or churn day boundary, so clock moves that change
+// nothing cost O(1) per pool instead of an O(devices) rebuild.
 type occCache struct {
 	at    int64 // virtual offset from Epoch (ns) the snapshot was built at
 	until int64 // exclusive end of the validity window (ns from Epoch)
@@ -808,8 +808,8 @@ func (p *Pool) buildCache(at int64) *occCache {
 // bound, ns from Epoch) at which the pool's occupancy or any occupant's
 // WAN address may differ from the snapshot at t: the next rotation
 // reassignment of any device, or — when any device churns — the next
-// day boundary. Non-rotating pools without churn never change, so a
-// -timescale server rebuilds their snapshots exactly once.
+// day boundary. Non-rotating pools without churn never change, so
+// their snapshots are built exactly once, however the clock moves.
 func (p *Pool) nextChange(t time.Time, at int64) int64 {
 	next := int64(math.MaxInt64)
 	churn := false
