@@ -72,15 +72,14 @@ commands:
   discover [-seeds FILE]    run the discovery pipeline, print Table 1
   grid -prefix P            allocation grid of a /48 (ASCII)
   campaign [-days N]        run the daily campaign, print analyses
-  work [-coordinator host:port] [-name ID] [-quarantine] [-poll D]
+  work [-coordinator host:port] [-name ID] [-poll D]
                             join a distributed campaign as one scanner
                             node: lease shards from a campaignd, scan
                             them through the local engine, stream the
-                            results back. -quarantine deposits a resume
-                            checkpoint with the coordinator when a scan
-                            worker dies, instead of aborting the node;
-                            -poll sets the wait between lease asks. A
-                            killed node just stops renewing — restart it
+                            results back. -poll sets the wait between
+                            lease asks. A killed node, or one whose
+                            transport dies, just stops renewing: its
+                            shard is re-issued in full — restart it
                             (same or new -name) and the campaign
                             converges on the same corpus
   track -addr A [-days N] [-alloc B] [-pool B]
@@ -220,7 +219,6 @@ func campaignFlags() (*flag.FlagSet, *campaignOpts) {
 type workOpts struct {
 	coordinator string
 	name        string
-	quarantine  bool
 	poll        time.Duration
 }
 
@@ -229,7 +227,6 @@ func workFlags() (*flag.FlagSet, *workOpts) {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	fs.StringVar(&o.coordinator, "coordinator", "127.0.0.1:4793", "campaignd address")
 	fs.StringVar(&o.name, "name", "", "node name in the coordinator's lease table (default: host-pid)")
-	fs.BoolVar(&o.quarantine, "quarantine", false, "deposit a resume checkpoint with the coordinator when a scan worker dies, instead of aborting the node")
 	fs.DurationVar(&o.poll, "poll", time.Second, "wait between lease asks when no shard is free")
 	return fs, o
 }
@@ -707,7 +704,6 @@ func runWork(ctx context.Context, env *experiments.Env, args []string) error {
 		Addr:   o.coordinator,
 		Config: env.Scanner.Config,
 		Poll:   o.poll,
-		Logf:   log.Printf,
 		// env.Scanner.NewTransport is the loopback into the in-process
 		// world, or the simnetd UDP dialer when -server is set — exactly
 		// what the single-node commands scan through. Either way it
@@ -716,9 +712,6 @@ func runWork(ctx context.Context, env *experiments.Env, args []string) error {
 			return func(int) (zmap.Transport, error) { return env.Scanner.NewTransport() }
 		},
 		Wait: env.Wait,
-	}
-	if o.quarantine {
-		w.Failure = zmap.QuarantineWorker{}
 	}
 	log.Printf("node %s: leasing shards from %s", name, o.coordinator)
 	return w.Run(ctx)

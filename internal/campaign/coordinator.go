@@ -13,12 +13,13 @@ import (
 
 // Coordinator serves one campaign over the wire: it grants epoch-fenced
 // shard leases day by day, merges streamed results with cross-shard
-// dedupe, holds deposited checkpoints for partially scanned shards, and
-// re-issues lapsed leases — the Manager/Merger machinery behind the
-// shared internal/wire framing. Determinism contract: the finalized
-// result set of every day is byte-identical to a single-node
-// core.Campaign over the same Spec, for any number of workers and any
-// interleaving of node deaths (TestCoordinatedCampaignByteIdentical,
+// dedupe, and re-issues lapsed leases in full — the Manager/Merger
+// machinery behind the shared internal/wire framing. It holds no
+// node's claim about what it scanned: a shard is scanned whole or not
+// at all. Determinism contract: the finalized result set of every day
+// is byte-identical to a single-node core.Campaign over the same Spec,
+// for any number of workers and any interleaving of node deaths
+// (TestCoordinatedCampaignByteIdentical,
 // TestCoordinatedCampaignNodeKill).
 type Coordinator struct {
 	// Spec is the campaign contract handed to every worker. TTLMS is
@@ -48,7 +49,6 @@ type Coordinator struct {
 	day       int
 	mgr       *Manager
 	merge     *Merger
-	cps       map[int]*zmap.Checkpoint
 	dayDone   chan struct{}
 	epochBase uint64
 	dupes     int
@@ -151,7 +151,6 @@ func (c *Coordinator) startDayLocked(day int) {
 	c.day = day
 	c.mgr = NewManagerFrom(c.Spec.Shards, c.TTL, c.Now, c.epochBase)
 	c.merge = NewMerger()
-	c.cps = make(map[int]*zmap.Checkpoint)
 	c.dayDone = make(chan struct{})
 }
 
@@ -168,7 +167,6 @@ func (c *Coordinator) retireDayLocked() {
 		c.epochBase = e
 	}
 	c.mgr = nil
-	c.cps = nil
 }
 
 // Finished is closed once every day has been recorded.
@@ -181,8 +179,8 @@ func (c *Coordinator) Finished() <-chan struct{} {
 	return c.finishedC
 }
 
-// Reissues counts leases granted again after a holder lapsed or
-// released, across all days so far — the campaign's node-loss count.
+// Reissues counts leases granted again after a holder lapsed, across
+// all days so far — the campaign's node-loss count.
 func (c *Coordinator) Reissues() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -205,13 +203,23 @@ func (c *Coordinator) Dupes() int {
 	return n
 }
 
-// answer applies one request to the lease table.
+// answer applies one request to the lease table. A request's result
+// batch is decoded whole before the table is touched, so a refused
+// batch neither extends the lease nor merges anything.
 func (c *Coordinator) answer(_ context.Context, req Request) Response {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if req.Node == "" {
 		return Response{Error: "campaign: request needs a node name"}
 	}
+	results := make([]zmap.Result, len(req.Results))
+	for i, wr := range req.Results {
+		r, err := wr.Result()
+		if err != nil {
+			return Response{Error: err.Error()}
+		}
+		results[i] = r
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch req.Op {
 	case "lease":
 		if c.finished {
@@ -226,15 +234,11 @@ func (c *Coordinator) answer(_ context.Context, req Request) Response {
 			return Response{OK: true, Status: StatusWait, Day: c.day}
 		}
 		spec := c.Spec
-		resp := Response{
+		return Response{
 			OK: true, Status: StatusGranted,
 			Day: c.day, Shard: l.Shard, Epoch: l.Epoch,
 			Spec: &spec,
 		}
-		if cp := c.cps[l.Shard]; cp != nil {
-			resp.Checkpoint = cp
-		}
-		return resp
 	case "renew", "result":
 		l, ok := c.heldLeaseLocked(req)
 		if !ok {
@@ -244,28 +248,8 @@ func (c *Coordinator) answer(_ context.Context, req Request) Response {
 		if _, ok := c.mgr.Renew(l); !ok {
 			return Response{OK: true, Status: StatusLost}
 		}
-		for _, wr := range req.Results {
-			r, err := wr.Result()
-			if err != nil {
-				return Response{Error: err.Error()}
-			}
+		for _, r := range results {
 			c.merge.Add(r)
-		}
-		return Response{OK: true, Status: StatusOK}
-	case "checkpoint":
-		l, ok := c.heldLeaseLocked(req)
-		if !ok {
-			return Response{OK: true, Status: StatusLost}
-		}
-		if _, ok := c.mgr.Renew(l); !ok {
-			return Response{OK: true, Status: StatusLost}
-		}
-		if req.Checkpoint == nil {
-			return Response{Error: "campaign: checkpoint op without a checkpoint"}
-		}
-		c.cps[req.Shard] = req.Checkpoint
-		if req.Release {
-			c.mgr.Release(l)
 		}
 		return Response{OK: true, Status: StatusOK}
 	case "done":
@@ -273,8 +257,6 @@ func (c *Coordinator) answer(_ context.Context, req Request) Response {
 		if !ok || !c.mgr.Complete(l) {
 			return Response{OK: true, Status: StatusLost}
 		}
-		// The shard is fully covered: any deposited remainder is moot.
-		delete(c.cps, req.Shard)
 		if c.mgr.Done() {
 			close(c.dayDone)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"followscent/internal/core"
 	"followscent/internal/ip6"
 	"followscent/internal/simnet"
+	"followscent/internal/wire"
 	"followscent/internal/zmap"
 )
 
@@ -264,40 +266,6 @@ func TestCoordinatedCampaignNodeKill(t *testing.T) {
 	}
 }
 
-// TestCoordinatedCheckpointResume is the graceful-degradation path: the
-// dying node runs under QuarantineWorker, so instead of abandoning its
-// shard it streams the partial results, deposits a checkpoint of the
-// remainder and releases the lease. The next holder resumes from the
-// checkpoint — probing only the remainder, so the merge sees zero
-// duplicates — and the corpus still equals the reference.
-func TestCoordinatedCheckpointResume(t *testing.T) {
-	ref := referenceCorpus(t)
-	run := runCoordinated(t, 2, func(i int, worldAddr, coordAddr string) (*campaign.Worker, context.Context) {
-		w := healthyWorker(fmt.Sprintf("n%d", i), worldAddr, coordAddr)
-		if i == 0 {
-			w.NewTransport = dyingFactory(worldAddr)
-			w.Failure = zmap.QuarantineWorker{}
-		}
-		return w, context.Background()
-	})
-	var perr *zmap.PartialError
-	if !errors.As(run.nodeErrs[0], &perr) {
-		t.Fatalf("quarantined node returned %v, want a PartialError", run.nodeErrs[0])
-	}
-	if run.nodeErrs[1] != nil {
-		t.Fatalf("surviving node errored: %v", run.nodeErrs[1])
-	}
-	if run.coord.Reissues() == 0 {
-		t.Error("checkpointed shard was never re-issued")
-	}
-	if d := run.coord.Dupes(); d != 0 {
-		t.Errorf("merge saw %d duplicates; checkpoint resume must cover exactly the remainder", d)
-	}
-	if !bytes.Equal(run.corpus, ref) {
-		t.Fatal("corpus after checkpoint resume differs from single-node reference")
-	}
-}
-
 // TestWorkerKillAndRestart cancels one worker mid-campaign and starts a
 // replacement — the scent-work restart story. The campaign converges
 // and the corpus equals the reference.
@@ -335,5 +303,138 @@ func TestWorkerKillAndRestart(t *testing.T) {
 	}
 	if !bytes.Equal(run.corpus, ref) {
 		t.Fatal("corpus after worker kill-and-restart differs from single-node reference")
+	}
+}
+
+// TestCoordinatorRefusesHostileRequests sends one campaign the requests
+// an honest worker never makes, before any honest node starts. A raw
+// client leases a shard, then tries to deposit a "fully scanned"
+// checkpoint and release it (an op the protocol lacks), to smuggle a
+// forged result in front of a malformed one, to stream under a fenced
+// epoch and for a shard it does not hold, and to replay a genuine
+// batch. Then it goes silent, so its lease lapses and the shard is
+// re-issued in full. Every answer is checked, and the corpus must
+// still equal the single-node reference.
+func TestCoordinatorRefusesHostileRequests(t *testing.T) {
+	ref := referenceCorpus(t)
+	forged := campaign.WireResult{Target: "2001:db8:50:1::1", From: "2001:db8:50:1:211:22ff:fe33:4455", Type: 129}
+	run := runCoordinated(t, 2, func(i int, worldAddr, coordAddr string) (*campaign.Worker, context.Context) {
+		if i == 0 {
+			hostileClient(t, coordAddr, forged)
+		}
+		return healthyWorker(fmt.Sprintf("n%d", i), worldAddr, coordAddr), context.Background()
+	})
+	for i, err := range run.nodeErrs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	if run.coord.Reissues() == 0 {
+		t.Error("the silent client's shard was never re-issued")
+	}
+	if !bytes.Equal(run.corpus, ref) {
+		if bytes.Contains(run.corpus, []byte(forged.From)) {
+			t.Error("a result from a refused batch was merged")
+		}
+		t.Fatalf("corpus after hostile requests (%d bytes) differs from single-node reference (%d bytes)",
+			len(run.corpus), len(ref))
+	}
+}
+
+// hostileClient runs the hostile request sequence against the
+// coordinator at addr and asserts each answer. It returns holding a
+// lease it will never renew.
+func hostileClient(t *testing.T, addr string, forged campaign.WireResult) {
+	t.Helper()
+	cl, err := campaign.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	do := func(req campaign.Request) campaign.Response {
+		t.Helper()
+		resp, err := cl.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	grant := do(campaign.Request{Op: "lease", Node: "hostile"})
+	if grant.Status != campaign.StatusGranted || grant.Spec == nil {
+		t.Fatalf("lease = %+v, want a grant with a spec", grant)
+	}
+	held := campaign.Request{Node: "hostile", Day: grant.Day, Shard: grant.Shard, Epoch: grant.Epoch}
+	ts, cfg, err := grant.Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A deposit claiming every position scanned, with release: were it
+	// honoured, the successor would resume past the whole shard.
+	type deposit struct {
+		campaign.Request
+		Checkpoint *zmap.Checkpoint `json:"checkpoint"`
+		Release    bool             `json:"release"`
+	}
+	dc, err := wire.Dial[deposit, campaign.Response](addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	dep := deposit{Request: held, Release: true, Checkpoint: &zmap.Checkpoint{
+		Version: 2, Seed: cfg.Seed, Shard: grant.Shard, Shards: cfg.Shards,
+		Workers: 2, Multiplier: 1, Marks: []uint64{ts.Len(), ts.Len()},
+	}}
+	dep.Op = "checkpoint"
+	if resp, err := dc.Do(dep); err != nil {
+		t.Fatal(err)
+	} else if resp.OK || !strings.Contains(resp.Error, `unknown op "checkpoint"`) {
+		t.Errorf("checkpoint deposit answered %+v, want the unknown-op error", resp)
+	}
+
+	// A batch with one malformed result is refused whole: the forged
+	// result ahead of it must not be merged.
+	req := held
+	req.Op = "result"
+	req.Results = []campaign.WireResult{forged, {Target: "not-an-address", From: forged.From, Type: 129}}
+	if resp := do(req); resp.OK || resp.Error == "" {
+		t.Errorf("malformed batch answered %+v, want an error", resp)
+	}
+
+	// Results under a fenced epoch or for an unheld shard are lost.
+	req.Results = []campaign.WireResult{forged}
+	req.Epoch = grant.Epoch + 1
+	if resp := do(req); resp.Status != campaign.StatusLost {
+		t.Errorf("result under epoch+1 answered %+v, want %q", resp, campaign.StatusLost)
+	}
+	req.Epoch = grant.Epoch
+	req.Shard = (grant.Shard + 1) % cfg.Shards
+	if resp := do(req); resp.Status != campaign.StatusLost {
+		t.Errorf("result for an unheld shard answered %+v, want %q", resp, campaign.StatusLost)
+	}
+
+	// A genuine batch sent twice is absorbed by the merge dedupe. It
+	// is half of the shard's own day-0 scan over a same-seed world
+	// replica, so the day stays short unless the shard's next holder
+	// scans it whole.
+	world := campWorld(9)
+	cfg.Shard, cfg.Workers = grant.Shard, 2
+	req = held
+	req.Op = "result"
+	if _, err := zmap.ScanSource(context.Background(), func(int) (zmap.Transport, error) {
+		return zmap.NewLoopback(world, 0), nil
+	}, zmap.NewPermutedSource(ts), cfg, func(r zmap.Result) {
+		req.Results = append(req.Results, campaign.ToWire(r))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Results) < 2 {
+		t.Fatal("the genuine scan found too little to replay")
+	}
+	req.Results = req.Results[:len(req.Results)/2]
+	for range 2 {
+		if resp := do(req); resp.Status != campaign.StatusOK {
+			t.Errorf("genuine batch answered %+v, want %q", resp, campaign.StatusOK)
+		}
 	}
 }

@@ -128,23 +128,6 @@ func (m *Manager) Complete(l Lease) bool {
 	return true
 }
 
-// Release relinquishes l before its expiry: the shard immediately
-// becomes grantable again (counted as a re-issue, since the released
-// holder did not finish it). Same epoch fence as Renew. This is the
-// deposit-and-release path — a worker that checkpointed a partially
-// scanned shard releases it so the remainder re-issues without
-// waiting out the TTL.
-func (m *Manager) Release(l Lease) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := &m.shards[l.Shard]
-	if s.done || s.epoch != l.Epoch || s.node != l.Node {
-		return false
-	}
-	s.expiry = time.Time{}
-	return true
-}
-
 // Done reports whether every shard has been completed.
 func (m *Manager) Done() bool {
 	m.mu.Lock()

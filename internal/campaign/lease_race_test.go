@@ -12,7 +12,7 @@ import (
 
 // TestLeaseRaceRenewExpireReissue hammers one Manager from eight
 // goroutines on a real clock with a tiny TTL, so renew, expiry,
-// re-issue, release and complete genuinely interleave (run under
+// re-issue and complete genuinely interleave (run under
 // -race). The invariant that must survive every interleaving: each
 // shard is completed exactly once, and only by a holder the epoch
 // fence still recognizes.
@@ -46,17 +46,11 @@ func TestLeaseRaceRenewExpireReissue(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 					continue
 				}
-				switch {
-				case first:
+				if first {
 					// Everyone dawdles past the TTL on their first
 					// lease, forcing expire-vs-renew-vs-reissue races.
 					first = false
 					time.Sleep(ttl + ttl/2)
-				case (g+l.Shard)%3 == 0:
-					// Some holders relinquish instead — the
-					// deposit-and-release path racing the others.
-					m.Release(l)
-					continue
 				}
 				if _, ok := m.Renew(l); !ok {
 					continue // fenced out mid-dawdle

@@ -10,20 +10,20 @@ import (
 
 // Wire protocol of the distributed coordinator: internal/wire framing
 // (4-byte big-endian length + one JSON object, one response per
-// request, in order per connection) carrying the five campaign ops.
+// request, in order per connection) carrying the four campaign ops.
 // The lease table semantics are exactly the in-process Manager's —
 // epoch-fenced grant/renew/complete — lifted onto the wire, plus
-// result streaming and checkpoint deposit.
+// result streaming. A shard is scanned whole or not at all: no node's
+// claim about what it scanned reaches another node, so a lapsed shard
+// re-issues in full and the merge dedupe absorbs the overlap.
 //
-//	lease      → ask for a shard of the current day (grants carry the
-//	             campaign Spec and any deposited checkpoint)
-//	renew      → extend a held lease (heartbeat)
-//	result     → stream a batch of scan results for a held lease
-//	             (also extends it — a streaming worker is alive)
-//	checkpoint → deposit the resumable remainder of a partially
-//	             scanned shard, optionally releasing the lease so the
-//	             remainder re-issues immediately
-//	done       → complete a shard
+//	lease  → ask for a shard of the current day (grants carry the
+//	         campaign Spec)
+//	renew  → extend a held lease (heartbeat)
+//	result → stream a batch of scan results for a held lease (also
+//	         extends it — a streaming worker is alive); a batch with a
+//	         malformed result is refused whole
+//	done   → complete a shard
 
 // Lease-response statuses (Response.Status).
 const (
@@ -33,7 +33,7 @@ const (
 	StatusWait = "wait"
 	// StatusDone: the campaign is finished — disconnect.
 	StatusDone = "done"
-	// StatusOK: renew/result/checkpoint/done accepted.
+	// StatusOK: renew/result/done accepted.
 	StatusOK = "ok"
 	// StatusLost: the lease is fenced out (expired and re-issued, shard
 	// completed, or day finalized) — stop scanning that shard.
@@ -42,7 +42,7 @@ const (
 
 // Request is one worker→coordinator message.
 type Request struct {
-	// Op is one of lease, renew, result, checkpoint, done.
+	// Op is one of lease, renew, result, done.
 	Op string `json:"op"`
 	// Node names the requesting worker (lease fencing identity).
 	Node string `json:"node"`
@@ -53,11 +53,6 @@ type Request struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Results is op=result's batch.
 	Results []WireResult `json:"results,omitempty"`
-	// Checkpoint is op=checkpoint's resumable remainder.
-	Checkpoint *zmap.Checkpoint `json:"checkpoint,omitempty"`
-	// Release, on op=checkpoint, relinquishes the lease immediately
-	// (deposit-and-release) instead of letting it run out its TTL.
-	Release bool `json:"release,omitempty"`
 }
 
 // Response is one coordinator→worker answer.
@@ -73,10 +68,6 @@ type Response struct {
 	// Spec rides along with every grant so a worker needs no
 	// out-of-band campaign configuration.
 	Spec *Spec `json:"spec,omitempty"`
-	// Checkpoint, on a grant, is a previous holder's deposited
-	// remainder — resume from it (after validating compatibility)
-	// instead of re-scanning the whole shard.
-	Checkpoint *zmap.Checkpoint `json:"checkpoint,omitempty"`
 }
 
 // Spec is the campaign's shared contract: everything a worker needs to
@@ -115,7 +106,7 @@ func (s *Spec) TTL() time.Duration { return time.Duration(s.TTLMS) * time.Millis
 
 // Build validates the spec and materializes the shared target set plus
 // the base scan configuration every node must agree on. Node-local
-// knobs (Workers, Rate, Cooldown, Batch, Failure) are left zero for
+// knobs (Workers, Rate, Cooldown, Batch) are left zero for
 // the caller to fill — none of them may change the probed set.
 func (s *Spec) Build() (*zmap.SubnetTargets, zmap.Config, error) {
 	var cfg zmap.Config

@@ -16,10 +16,11 @@ import (
 // batches, and exits when the coordinator reports the campaign done.
 // Everything campaign-global (targets, seed, salt, shard count, lease
 // TTL) arrives with the first lease grant; only node-local knobs live
-// here. A worker killed mid-shard simply stops renewing — the
-// coordinator re-issues its shard and the replacement's re-scan is
-// absorbed by the merge dedupe — and a restarted worker re-learns the
-// campaign from its next grant (TestWorkerKillAndRestart).
+// here. A worker killed mid-shard, or whose transport dies, simply
+// stops renewing — the coordinator re-issues its shard in full and the
+// replacement's re-scan is absorbed by the merge dedupe — and a
+// restarted worker re-learns the campaign from its next grant
+// (TestWorkerKillAndRestart).
 type Worker struct {
 	// Name identifies this node in the lease table.
 	Name string
@@ -34,11 +35,6 @@ type Worker struct {
 	// overwritten from the coordinator's Spec — none of the local knobs
 	// may change the probed target set.
 	Config zmap.Config
-	// Failure is this node's failure policy. nil (AbortAll) means a
-	// transport error kills the node and its shard re-issues in full;
-	// QuarantineWorker makes the node deposit a checkpoint of the
-	// partially scanned shard so the next holder resumes the remainder.
-	Failure zmap.FailurePolicy
 	// Poll is the wait between lease asks when no shard is free
 	// (default 25ms).
 	Poll time.Duration
@@ -49,8 +45,6 @@ type Worker struct {
 	// than the last — before the shard's transports are built, so nodes
 	// sharing a simnetd carry the day to it as they dial.
 	Wait func(time.Duration)
-	// Logf, when set, receives lifecycle lines.
-	Logf func(format string, args ...any)
 
 	spec    *Spec
 	ts      *zmap.SubnetTargets
@@ -63,9 +57,8 @@ type Worker struct {
 var errLeaseLost = errors.New("campaign: lease lost")
 
 // Run leases and scans shards until the campaign finishes (nil), ctx is
-// cancelled, or the node fails (transport death under AbortAll, a
-// PartialError under quarantine after depositing its checkpoint, or a
-// lost coordinator connection).
+// cancelled, or the node fails (a scan error such as transport death,
+// or a lost coordinator connection).
 func (w *Worker) Run(ctx context.Context) error {
 	cl, err := Dial(w.Addr)
 	if err != nil {
@@ -123,15 +116,14 @@ func (w *Worker) learn(grant Response) error {
 	cfg.Rate = w.Config.Rate
 	cfg.Cooldown = w.Config.Cooldown
 	cfg.Batch = w.Config.Batch
-	cfg.Failure = w.Failure
 	w.spec, w.ts, w.baseCfg = &sp, ts, cfg
 	return nil
 }
 
 // runLease scans one granted shard: renewer heartbeat at TTL/3, result
-// batches streamed (each stream extends the lease), completion or
-// checkpoint deposit at the end. A fenced-out lease aborts the scan and
-// returns nil — the replacement holder covers the shard.
+// batches streamed (each stream extends the lease), completion at the
+// end. A fenced-out lease aborts the scan and returns nil — the
+// replacement holder covers the shard.
 func (w *Worker) runLease(ctx context.Context, cl *Client, grant Response) error {
 	if err := w.learn(grant); err != nil {
 		return err
@@ -258,18 +250,10 @@ func (w *Worker) runLease(ctx context.Context, cl *Client, grant Response) error
 
 	cfg := w.baseCfg
 	cfg.Shard = grant.Shard
-	if grant.Checkpoint != nil {
-		if err := grant.Checkpoint.Compatible(cfg); err == nil {
-			cfg.Resume = grant.Checkpoint
-		} else if w.Logf != nil {
-			w.Logf("shard %d: deposited checkpoint unusable here (%v), scanning in full", grant.Shard, err)
-		}
-	}
 	_, scanErr := zmap.ScanSource(sctx, w.NewTransport(day, grant.Shard), zmap.NewPermutedSource(w.ts), cfg, handler)
 	cancel()
 	wg.Wait()
 
-	var perr *zmap.PartialError
 	switch {
 	case scanErr == nil:
 		// Shard fully covered: stream the tail, then complete. The
@@ -293,22 +277,6 @@ func (w *Worker) runLease(ctx context.Context, cl *Client, grant Response) error
 		// instant; the next holder re-covers the shard and the merge
 		// dedupe absorbs the overlap. Not a node error either way.
 		return nil
-	case errors.As(scanErr, &perr):
-		// Quarantined transport death: the scan's results are valid but
-		// incomplete and perr.Checkpoint records exactly the remainder.
-		// Stream what we have, deposit the checkpoint, release the
-		// lease so the remainder re-issues immediately — then report
-		// this node unhealthy.
-		if err := flush(); err == nil && !isLost() && getCommErr() == nil {
-			req := ident
-			req.Op = "checkpoint"
-			req.Checkpoint = perr.Checkpoint
-			req.Release = true
-			if resp, err := cl.Do(req); err == nil && w.Logf != nil && resp.Status == StatusOK {
-				w.Logf("shard %d: deposited checkpoint, lease released", grant.Shard)
-			}
-		}
-		return scanErr
 	default:
 		if err := getCommErr(); err != nil {
 			return err

@@ -88,16 +88,6 @@ func (c *Checkpoint) within(n uint64) error {
 	return nil
 }
 
-// Compatible reports whether c can resume a scan that would run under
-// cfg (which need not be pre-filled). The exported form of the check
-// the engine applies on resume: distributed workers validate a
-// coordinator-held checkpoint against their local configuration before
-// trusting it, falling back to a full shard scan on any mismatch.
-func (c *Checkpoint) Compatible(cfg Config) error {
-	cfg.fill()
-	return c.compatible(&cfg)
-}
-
 // WriteCheckpoint serializes c as JSON.
 func WriteCheckpoint(w io.Writer, c *Checkpoint) error {
 	enc := json.NewEncoder(w)

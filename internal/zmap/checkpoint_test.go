@@ -321,9 +321,9 @@ func TestCheckpointRejectsOutOfRangeMarks(t *testing.T) {
 // FuzzReadCheckpoint feeds the checkpoint reader arbitrary bytes, seeded
 // with real Progress snapshots. It must never panic; an accepted
 // checkpoint must survive a write/read round trip unchanged; and one
-// that is also Compatible with the small scan it describes must resume
+// that is also compatible with the small scan it describes must resume
 // that scan without sending more probes than the uninterrupted scan —
-// or, when a mark exceeds the scan's position count, which Compatible
+// or, when a mark exceeds the scan's position count, which compatible
 // cannot see, be refused before any probe.
 func FuzzReadCheckpoint(f *testing.F) {
 	ts := make(AddrTargets, 16)
@@ -380,7 +380,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 			Source: vantage, Seed: cp.Seed, Shard: cp.Shard, Shards: cp.Shards,
 			Workers: cp.Workers,
 		}
-		if cp.Compatible(cfg) != nil {
+		filled := cfg
+		filled.fill()
+		if cp.compatible(&filled) != nil {
 			return
 		}
 		full, err := ScanWorkers(context.Background(), healthy, ts, cfg, nil)
